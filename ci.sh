@@ -29,6 +29,20 @@ cargo build --workspace --release --offline
 echo "==> cargo test"
 cargo test --workspace --offline -q
 
+# `cargo test --workspace` unifies features across the workspace, and
+# the root and mlc-check dev-dependencies enable check-invariants, so
+# the run above only tests the instrumented engine. Test the engine the
+# binaries and the benchmark ship as well (the feature is off here:
+# `cargo tree -e features -i mlc-sim -p mlc-sim -p mlc-core` lists no
+# check-invariants).
+echo "==> cargo test (mlc-sim, mlc-core: unchecked engine)"
+if cargo tree -e features -i mlc-sim -p mlc-sim -p mlc-core --offline \
+    | grep -q check-invariants; then
+    echo "ci.sh: check-invariants leaked into the unchecked engine test" >&2
+    exit 1
+fi
+cargo test -p mlc-sim -p mlc-core --offline -q
+
 echo "==> mlc-lint self-check (fixtures)"
 ./target/release/mlc-lint crates/cli/tests/fixtures/good_base.mlc \
     crates/cli/tests/fixtures/good_three_level.mlc

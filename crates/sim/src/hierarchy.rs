@@ -1,44 +1,19 @@
-//! The trace-driven, timing-accurate multi-level hierarchy simulator.
-//!
-//! # Timing model
-//!
-//! Time is counted in integer CPU cycles ("ticks"). The CPU executes one
-//! instruction fetch and at most one data access per non-stall cycle;
-//! both issue at the cycle's start (the split L1 services them in
-//! parallel) and the next cycle begins when every outstanding access of
-//! the current cycle has completed.
-//!
-//! * A read that hits at a level completes after that level's
-//!   `read_cycles`; delivering an upstream block wider than the bus costs
-//!   one extra bus cycle per additional beat.
-//! * A miss pays the level's own access time (its tag check) and then
-//!   fetches from downstream, so a read that misses L1 and hits L2 costs
-//!   `n_L1 + n_L2` — exactly the structure of the paper's Equation 1, and
-//!   its "nominal cache miss penalty of 3 CPU cycles" for an L1 miss that
-//!   hits a 3-cycle L2. The requester resumes when its whole block has
-//!   arrived, as the paper specifies for both L1 and L2 misses.
-//! * Dirty victims enter the evicting level's write buffer. Buffers drain
-//!   *lazily*: whenever a demand request is about to use a level, queued
-//!   writes that could have started in the level's preceding idle time
-//!   are retired first (they may still be in service when the demand
-//!   arrives — service is not preempted). A full buffer forces a
-//!   synchronous drain, stalling the requester — the paper's
-//!   buffer-full stall.
-//! * Main memory serialises operations and enforces the refresh gap (see
-//!   [`mlc_mem::MainMemory`]).
+//! The scalar simulator: the width-1 instance of the timing engine (see
+//! the `engine` module for the timing model) with cycle attribution
+//! attached.
 
-use mlc_cache::{CacheUnit, Fill, FillReason};
-use mlc_mem::{BufferedWrite, Bus, MainMemory, MemOpKind, MemoryTiming};
-use mlc_obs::{EventKind, EventTracer, SimEvent};
-use mlc_trace::{AccessKind, Address, TraceRecord};
+use mlc_obs::{EventTracer, Metrics};
+use mlc_trace::TraceRecord;
 
 use crate::clock::Clock;
-use crate::config::{HierarchyConfig, LevelCacheConfig, SimConfigError};
-use crate::ledger::{Cause, CycleLedger, LedgerScratch, SimHistograms};
-use crate::level::Level;
-use crate::metrics::{LevelMetrics, SimResult};
+use crate::config::{HierarchyConfig, SimConfigError};
+use crate::engine::Engine;
+use crate::ledger::{Attribution, CycleLedger, SimHistograms};
+use crate::metrics::SimResult;
 
-/// The multi-level cache hierarchy simulator.
+/// The multi-level cache hierarchy simulator, with cycle attribution:
+/// every run carries a conservation-checked [`CycleLedger`], latency and
+/// occupancy [`SimHistograms`], and an optional sampled [`EventTracer`].
 ///
 /// # Examples
 ///
@@ -59,42 +34,8 @@ use crate::metrics::{LevelMetrics, SimResult};
 /// ```
 #[derive(Debug, Clone)]
 pub struct HierarchySim {
-    clock: Clock,
-    levels: Vec<Level>,
-    memory: MainMemory,
-    now: u64,
-    measure_start: u64,
-    cycle_issue: u64,
-    cycle_has_data: bool,
-    instructions: u64,
-    loads: u64,
-    stores: u64,
-    read_stall: u64,
-    write_stall: u64,
-    records: u64,
-    ledger: CycleLedger,
-    scratch: LedgerScratch,
-    hists: SimHistograms,
-    last_l0_read_miss: Option<u64>,
-    tracer: Option<EventTracer>,
-    #[cfg(feature = "check-invariants")]
-    checker: InvariantChecker,
+    pub(crate) engine: Engine<1, Attribution>,
 }
-
-/// Bookkeeping for the runtime invariant checker (`check-invariants`
-/// feature): the index of the record being processed and the clock value
-/// observed after the previous one.
-#[cfg(feature = "check-invariants")]
-#[derive(Debug, Clone, Default)]
-struct InvariantChecker {
-    records: u64,
-    last_now: u64,
-}
-
-/// How often (in trace records) the checker walks *every* set of every
-/// cache instead of just the sets the current record touched.
-#[cfg(feature = "check-invariants")]
-const DEEP_CHECK_PERIOD: u64 = 1024;
 
 impl HierarchySim {
     /// Builds a simulator from a hierarchy configuration.
@@ -103,62 +44,19 @@ impl HierarchySim {
     ///
     /// Returns a [`SimConfigError`] if the configuration is invalid.
     pub fn new(config: HierarchyConfig) -> Result<Self, SimConfigError> {
-        config.validate()?;
-        let clock = Clock::new(config.cpu.cycle_ns);
-        let mut levels = Vec::with_capacity(config.levels.len());
-        for (i, lc) in config.levels.iter().enumerate() {
-            let cache = match lc.cache {
-                LevelCacheConfig::Unified(c) => CacheUnit::unified(c),
-                LevelCacheConfig::Split { icache, dcache } => CacheUnit::split(icache, dcache),
-            };
-            let bus = Bus::new(lc.refill_bus_bytes, config.refill_bus_cycles(i));
-            levels.push(Level::new(
-                lc.name.clone(),
-                cache,
-                lc.read_cycles,
-                lc.write_cycles,
-                bus,
-                lc.write_buffer_entries,
-            ));
-        }
-        let timing = MemoryTiming::new(
-            clock.ns_to_cycles(config.memory.read_ns).max(1),
-            clock.ns_to_cycles(config.memory.write_ns).max(1),
-            clock.ns_to_cycles(config.memory.gap_ns),
-        );
-        let depth = levels.len();
-        Ok(HierarchySim {
-            clock,
-            levels,
-            memory: MainMemory::new(timing),
-            now: 0,
-            measure_start: 0,
-            cycle_issue: 0,
-            cycle_has_data: true, // force a new cycle for a leading data ref
-            instructions: 0,
-            loads: 0,
-            stores: 0,
-            read_stall: 0,
-            write_stall: 0,
-            records: 0,
-            ledger: CycleLedger::new(depth),
-            scratch: LedgerScratch::default(),
-            hists: SimHistograms::new(depth),
-            last_l0_read_miss: None,
-            tracer: None,
-            #[cfg(feature = "check-invariants")]
-            checker: InvariantChecker::default(),
-        })
+        let attribution = Attribution::new(config.levels.len());
+        let engine = Engine::new(std::slice::from_ref(&config), attribution)?;
+        Ok(HierarchySim { engine })
     }
 
     /// The simulator's CPU clock.
     pub fn clock(&self) -> Clock {
-        self.clock
+        self.engine.clock()
     }
 
     /// Current simulated time in CPU cycles.
     pub fn now(&self) -> u64 {
-        self.now
+        self.engine.now()
     }
 
     /// Runs every record of `records` through the hierarchy.
@@ -166,169 +64,12 @@ impl HierarchySim {
     where
         I: IntoIterator<Item = TraceRecord>,
     {
-        for rec in records {
-            self.step(rec);
-        }
+        self.engine.run(records);
     }
 
     /// Processes a single trace record.
     pub fn step(&mut self, rec: TraceRecord) {
-        let index = self.records;
-        self.records += 1;
-        self.scratch.begin();
-        let old_now = self.now;
-        // `exec` is the record's base execute cycle (1 when it opened a
-        // cycle, 0 when it shares one); everything else the clock
-        // advances this step is stall, reconciled into the ledger below.
-        let (t, exec) = match rec.kind {
-            AccessKind::InstructionFetch => {
-                let t = self.now;
-                let done = self.cpu_access(rec, t);
-                self.instructions += 1;
-                let end = done.max(t + 1);
-                self.read_stall += end - (t + 1);
-                self.now = end;
-                self.cycle_issue = t;
-                self.cycle_has_data = false;
-                (t, 1)
-            }
-            AccessKind::Read | AccessKind::Write => {
-                // A data reference executes in the cycle opened by the
-                // preceding instruction fetch; a second data record (or a
-                // data-only trace) opens a fresh cycle.
-                let (t, exec) = if self.cycle_has_data {
-                    self.cycle_issue = self.now;
-                    self.now += 1; // the new cycle's base cycle
-                    (self.cycle_issue, 1)
-                } else {
-                    (self.cycle_issue, 0)
-                };
-                self.cycle_has_data = true;
-                let done = self.cpu_access(rec, t);
-                if rec.kind == AccessKind::Write {
-                    self.stores += 1;
-                    self.write_stall += done.saturating_sub(t + 1);
-                } else {
-                    self.loads += 1;
-                    // Only the extension beyond the cycle's current end is
-                    // new stall (the ifetch may already have extended it).
-                    self.read_stall += done.saturating_sub(self.now.max(t + 1));
-                }
-                self.now = self.now.max(done);
-                (t, exec)
-            }
-        };
-        let stall = (self.now - old_now) - exec;
-        self.ledger
-            .settle(&mut self.scratch, exec, stall, rec.kind.is_write());
-
-        if let Some(tracer) = &mut self.tracer {
-            if tracer.wants(index) {
-                let serviced = self.scratch.deepest();
-                tracer.push(SimEvent {
-                    index,
-                    kind: match rec.kind {
-                        AccessKind::InstructionFetch => EventKind::Ifetch,
-                        AccessKind::Read => EventKind::Read,
-                        AccessKind::Write => EventKind::Write,
-                    },
-                    addr: rec.addr.get(),
-                    start_cycle: t,
-                    cycles: self.now - t,
-                    stall_cycles: stall,
-                    serviced,
-                });
-            }
-        }
-
-        #[cfg(feature = "check-invariants")]
-        {
-            self.check_invariants(rec);
-            let attributed = self.ledger.total();
-            let elapsed = self.now - self.measure_start;
-            if attributed != elapsed {
-                self.invariant_violation(
-                    index,
-                    rec,
-                    &format!(
-                        "cycle ledger broke conservation: {attributed} attributed \
-                         vs {elapsed} elapsed"
-                    ),
-                );
-            }
-        }
-    }
-
-    /// Per-record invariant checks (`check-invariants` feature): simulated
-    /// clock monotonicity, demand-fill inclusion at level 0, and the
-    /// structural invariants of every touched cache set, with a periodic
-    /// full-cache sweep. Panics with the violating trace-record index and a
-    /// hierarchy state summary.
-    #[cfg(feature = "check-invariants")]
-    fn check_invariants(&mut self, rec: TraceRecord) {
-        let index = self.checker.records;
-        self.checker.records += 1;
-
-        if self.now < self.checker.last_now {
-            self.invariant_violation(
-                index,
-                rec,
-                &format!(
-                    "simulated clock moved backwards: {} -> {}",
-                    self.checker.last_now, self.now
-                ),
-            );
-        }
-        self.checker.last_now = self.now;
-
-        // Every read or instruction fetch leaves its demand block resident
-        // at level 0 (hit, victim swap-in, or demand fill alike). Writes
-        // are exempt: a no-write-allocate miss is forwarded downstream
-        // without filling.
-        if !rec.kind.is_write() && !self.levels[0].cache.contains_for(rec.addr, rec.kind) {
-            self.invariant_violation(
-                index,
-                rec,
-                "demand block not resident at level 0 after the access",
-            );
-        }
-
-        let deep = index % DEEP_CHECK_PERIOD == DEEP_CHECK_PERIOD - 1;
-        for j in 0..self.levels.len() {
-            let result = if deep {
-                self.levels[j].cache.verify_invariants()
-            } else {
-                self.levels[j]
-                    .cache
-                    .verify_invariants_at(rec.addr, rec.kind)
-            };
-            if let Err(msg) = result {
-                let name = self.levels[j].name.clone();
-                self.invariant_violation(index, rec, &format!("{name}: {msg}"));
-            }
-        }
-    }
-
-    /// Reports a runtime invariant violation: the failing trace-record
-    /// index, the record itself, and each level's occupancy summary.
-    #[cfg(feature = "check-invariants")]
-    fn invariant_violation(&self, index: u64, rec: TraceRecord, msg: &str) -> ! {
-        let mut state = String::new();
-        for level in &self.levels {
-            state.push_str(&format!(
-                "\n  {}: {}, write buffer {} queued",
-                level.name,
-                level.cache.state_summary(),
-                level.out_buffer.len(),
-            ));
-        }
-        panic!(
-            "hierarchy invariant violated at trace record {index} \
-             ({:?} {:#x}): {msg}\nhierarchy state (now = {}):{state}",
-            rec.kind,
-            rec.addr.get(),
-            self.now,
-        );
+        self.engine.step(rec);
     }
 
     /// Resets all statistics and starts a fresh measurement window at the
@@ -336,48 +77,12 @@ impl HierarchySim {
     /// timing state are preserved — this is how warm-up references are
     /// discarded, mirroring the paper's removal of the cold-start region.
     pub fn reset_measurement(&mut self) {
-        self.measure_start = self.now;
-        self.instructions = 0;
-        self.loads = 0;
-        self.stores = 0;
-        self.read_stall = 0;
-        self.write_stall = 0;
-        self.ledger.reset();
-        self.hists.reset();
-        self.last_l0_read_miss = None;
-        for level in &mut self.levels {
-            level.cache.reset_stats();
-            level.out_buffer.reset_stats();
-            level.fetched_bytes = 0;
-            level.writeback_bytes = 0;
-        }
-        self.memory.reset_stats();
+        self.engine.reset_measurement();
     }
 
     /// Snapshot of the current measurement window.
     pub fn result(&self) -> SimResult {
-        SimResult {
-            total_cycles: self.now - self.measure_start,
-            instructions: self.instructions,
-            cpu_reads: self.instructions + self.loads,
-            loads: self.loads,
-            stores: self.stores,
-            read_stall_cycles: self.read_stall,
-            write_stall_cycles: self.write_stall,
-            cpu_cycle_ns: self.clock.cycle_ns(),
-            levels: self
-                .levels
-                .iter()
-                .map(|l| LevelMetrics {
-                    name: l.name.clone(),
-                    cache: l.cache.stats(),
-                    write_buffer: l.out_buffer.stats(),
-                    fetched_bytes: l.fetched_bytes,
-                    writeback_bytes: l.writeback_bytes,
-                })
-                .collect(),
-            memory: self.memory.stats(),
-        }
+        self.engine.result(0)
     }
 
     /// The cycle-attribution ledger of the current measurement window.
@@ -385,471 +90,45 @@ impl HierarchySim {
     /// conservation invariant the `check-invariants` feature re-asserts
     /// after every record.
     pub fn ledger(&self) -> &CycleLedger {
-        &self.ledger
+        &self.engine.obs.ledger
     }
 
     /// Latency and occupancy histograms of the current measurement
     /// window.
     pub fn histograms(&self) -> &SimHistograms {
-        &self.hists
+        &self.engine.obs.hists
     }
 
     /// The hierarchy level display names, upstream first — the labels
     /// for [`CycleLedger::rows`] and the event exports.
     pub fn level_names(&self) -> Vec<String> {
-        self.levels.iter().map(|l| l.name.clone()).collect()
+        self.engine.level_names()
     }
 
     /// Attaches a sampled event tracer; subsequent records whose global
     /// index (counted from construction, warm-up included) matches the
-    /// tracer's sampling period emit one [`SimEvent`] each.
+    /// tracer's sampling period emit one [`SimEvent`](mlc_obs::SimEvent) each.
     pub fn attach_tracer(&mut self, tracer: EventTracer) {
-        self.tracer = Some(tracer);
+        self.engine.obs.tracer = Some(tracer);
     }
 
     /// Detaches the tracer, returning it with its accumulated events.
     pub fn take_tracer(&mut self) -> Option<EventTracer> {
-        self.tracer.take()
+        self.engine.obs.tracer.take()
     }
 
     /// Drains every write buffer to completion (in upstream-to-downstream
     /// order). Does not advance the execution clock; used at end of
     /// simulation and by conservation tests.
     pub fn drain_all_buffers(&mut self) {
-        for j in 0..self.levels.len() {
-            while !self.levels[j].out_buffer.is_empty() {
-                let t = self.levels[j].busy_any();
-                self.drain_one(j, t);
-            }
-        }
+        self.engine.drain_all_buffers();
     }
 
     /// Flushes all dirty cache blocks downstream (upstream levels first)
     /// and drains every buffer. After this, no dirty data remains above
     /// main memory.
     pub fn flush_all(&mut self) {
-        for j in 0..self.levels.len() {
-            let dirty = self.levels[j].cache.flush_dirty();
-            let bytes = match &self.levels[j].cache {
-                CacheUnit::Unified(c) => c.geometry().block_bytes(),
-                // Dirty blocks only arise on the data side of a split level.
-                CacheUnit::Split(s) => s.dcache().geometry().block_bytes(),
-            };
-            for addr in dirty {
-                let t = self.levels[j].busy_any();
-                self.push_writeback(j, addr, bytes, t);
-            }
-            // Cascade before flushing the next level so its buffer sees
-            // everything from upstream.
-            self.drain_all_buffers();
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // CPU-side access (level 0)
-    // ------------------------------------------------------------------
-
-    fn cpu_access(&mut self, rec: TraceRecord, t: u64) -> u64 {
-        let kind = rec.kind;
-        let result = self.levels[0].cache.access(rec.addr, kind);
-        let start = t.max(self.levels[0].busy_for(kind));
-
-        self.scratch.touch(0);
-        if result.hit {
-            let dur = if kind.is_write() {
-                self.levels[0].write_cycles
-            } else {
-                self.levels[0].read_cycles
-            };
-            let mut done = start + dur;
-            self.scratch.record(Cause::Level(0), done - t);
-            self.levels[0].set_busy(kind, done);
-            if result.write_through {
-                let accepted = self.push_writeback(0, rec.addr, 4, done);
-                done = done.max(accepted);
-            }
-            return done;
-        }
-
-        if !kind.is_write() {
-            // The record indices of consecutive level-0 read misses give
-            // the inter-miss distance distribution (`records` was already
-            // advanced for this record).
-            let index = self.records - 1;
-            if let Some(last) = self.last_l0_read_miss {
-                self.hists.inter_miss_distance.record(index - last);
-            }
-            self.last_l0_read_miss = Some(index);
-        }
-
-        // The miss is detected after the level's own access time — the
-        // n_L1 term of the paper's Equation 1 is paid on hits and misses
-        // alike.
-        let detected = start + self.levels[0].read_cycles;
-
-        // Victim-buffer hit: a swap costing one extra access time, with
-        // no downstream fetch.
-        if result.victim_hit {
-            let mut done = detected + self.levels[0].read_cycles;
-            if kind.is_write() && !result.write_through {
-                done += self.levels[0].write_cycles;
-            }
-            self.scratch.record(Cause::Level(0), done - t);
-            self.levels[0].set_busy(kind, done);
-            done = done.max(self.push_extra_writebacks(0, &result, done));
-            if result.write_through {
-                let accepted = self.push_writeback(0, rec.addr, 4, done);
-                done = done.max(accepted);
-            }
-            return done;
-        }
-
-        // Miss with no allocation: forward the store downstream.
-        if result.fills.is_empty() {
-            debug_assert!(result.write_through, "read misses always fill");
-            self.scratch.record(Cause::Level(0), detected - t);
-            self.levels[0].set_busy(kind, detected);
-            let accepted = self.push_writeback(0, rec.addr, 4, detected);
-            return detected.max(accepted);
-        }
-
-        self.scratch.record(Cause::Level(0), detected - t);
-        let need = self.levels[0].cache.block_bytes_for(kind);
-        let (mut completion, chain) = self.service_fills(0, &result.fills, kind, need, detected);
-        completion = completion.max(self.push_extra_writebacks(0, &result, completion));
-        self.levels[0].set_busy(kind, chain);
-
-        if kind.is_write() {
-            if result.write_through {
-                let accepted = self.push_writeback(0, rec.addr, 4, completion);
-                completion = completion.max(accepted);
-            } else {
-                // Complete the allocating store into the freshly filled
-                // block (the paper's 2-cycle write).
-                completion += self.levels[0].write_cycles;
-                self.scratch
-                    .record(Cause::Level(0), self.levels[0].write_cycles);
-                self.levels[0].set_busy(kind, completion);
-            }
-        }
-        completion
-    }
-
-    /// Fetches every fill of a miss at level `idx` from downstream,
-    /// demand block first. Returns `(demand completion, chain end)`:
-    /// the requester resumes at the former; the level stays busy with
-    /// non-critical fills until the latter.
-    fn service_fills(
-        &mut self,
-        idx: usize,
-        fills: &[Fill],
-        kind: AccessKind,
-        block_bytes: u64,
-        start: u64,
-    ) -> (u64, u64) {
-        let mut completion = start;
-        let mut chain = start;
-        let ordered = fills
-            .iter()
-            .filter(|f| f.reason == FillReason::Demand)
-            .chain(fills.iter().filter(|f| f.reason != FillReason::Demand));
-        for fill in ordered {
-            let demand = fill.reason == FillReason::Demand;
-            // Non-demand fills (prefetched sectors, swap traffic) are off
-            // the requester's critical path: the ledger must not see them.
-            if !demand {
-                self.scratch.push_suppress();
-            }
-            self.levels[idx].fetched_bytes += fill.bytes;
-            let done = self.fetch_block(idx + 1, fill.block, kind, fill.bytes, chain);
-            chain = done;
-            let mut fin = done;
-            if let Some(wb) = fill.writeback {
-                let accepted = self.push_writeback(idx, wb, block_bytes, done);
-                fin = fin.max(accepted);
-                chain = chain.max(accepted);
-            }
-            if !demand {
-                self.scratch.pop_suppress();
-            }
-            if demand {
-                completion = fin;
-            }
-        }
-        (completion, chain)
-    }
-
-    // ------------------------------------------------------------------
-    // Downstream read path
-    // ------------------------------------------------------------------
-
-    /// Reads the block of `need_bytes` containing `addr` from level `idx`
-    /// (or main memory when `idx` equals the depth), on behalf of level
-    /// `idx - 1`. Returns when the block is available to the requester.
-    fn fetch_block(
-        &mut self,
-        idx: usize,
-        addr: Address,
-        kind: AccessKind,
-        need_bytes: u64,
-        t: u64,
-    ) -> u64 {
-        let done = self.fetch_block_inner(idx, addr, kind, need_bytes, t);
-        // The full entry-to-return latency is the read-miss latency of
-        // the requesting level `idx - 1` (demand read paths only).
-        if !self.scratch.suppressed() && !kind.is_write() {
-            self.hists.read_miss_latency[idx - 1].record(done - t);
-        }
-        done
-    }
-
-    fn fetch_block_inner(
-        &mut self,
-        idx: usize,
-        addr: Address,
-        kind: AccessKind,
-        need_bytes: u64,
-        t: u64,
-    ) -> u64 {
-        if idx == self.levels.len() {
-            return self.memory_read(addr, need_bytes, t);
-        }
-        // Give queued writes from upstream their idle window first, and
-        // resolve any read-after-write hazard: if the requested block is
-        // still sitting in the upstream write buffer, it must be written
-        // down before the read may observe this level.
-        self.drain_ready_before(idx - 1, t);
-        let t = self.resolve_raw_hazard(idx - 1, addr, need_bytes, t);
-
-        let result = self.levels[idx].cache.access(addr, kind);
-        let start = t.max(self.levels[idx].busy_for(kind));
-        let upstream_bus = self.levels[idx - 1].refill_bus;
-        self.scratch.touch(idx as u32);
-
-        if result.hit {
-            let done = start + self.levels[idx].read_cycles;
-            self.levels[idx].set_busy(kind, done);
-            let ret = done + upstream_bus.extra_beat_ticks(need_bytes);
-            self.scratch.record(Cause::Level(idx), ret - t);
-            return ret;
-        }
-
-        // Tag check at this level (n_L2 in Equation 1) precedes the
-        // downstream fetch.
-        let detected = start + self.levels[idx].read_cycles;
-
-        if result.victim_hit {
-            // Swap from the victim buffer: one extra access time, no
-            // downstream fetch.
-            let mut done = detected + self.levels[idx].read_cycles;
-            self.scratch.record(
-                Cause::Level(idx),
-                done + upstream_bus.extra_beat_ticks(need_bytes) - t,
-            );
-            self.levels[idx].set_busy(kind, done);
-            done = done.max(self.push_extra_writebacks(idx, &result, done));
-            return done + upstream_bus.extra_beat_ticks(need_bytes);
-        }
-
-        self.scratch.record(Cause::Level(idx), detected - t);
-        let my_block = self.levels[idx].cache.block_bytes_for(kind);
-        let (completion, chain) = self.service_fills(idx, &result.fills, kind, my_block, detected);
-        let completion = completion.max(self.push_extra_writebacks(idx, &result, completion));
-        self.levels[idx].set_busy(kind, chain);
-        self.scratch
-            .record(Cause::Level(idx), upstream_bus.extra_beat_ticks(need_bytes));
-        completion + upstream_bus.extra_beat_ticks(need_bytes)
-    }
-
-    /// A main-memory block read issued at tick `t` over the deepest
-    /// level's refill bus (the backplane): one address cycle, the memory
-    /// operation (including any refresh-gap wait), then the data beats.
-    fn memory_read(&mut self, addr: Address, need_bytes: u64, t: u64) -> u64 {
-        let deepest = self.levels.len() - 1;
-        self.drain_ready_before(deepest, t);
-        let t = self.resolve_raw_hazard(deepest, addr, need_bytes, t);
-        let bus = self.levels[deepest].refill_bus;
-        let arrival = t + bus.address_ticks();
-        let op = self.memory.schedule(arrival, MemOpKind::Read);
-        let done = op.end + bus.data_ticks(need_bytes);
-        // Address cycles, then the wait for the memory to free up (busy
-        // serialisation + refresh gap), then the operation and data beats
-        // — recorded in temporal order for the front-drop reconciliation.
-        self.scratch.touch(self.levels.len() as u32);
-        self.scratch.record(Cause::Memory, arrival - t);
-        self.scratch.record(Cause::Refresh, op.start - arrival);
-        self.scratch.record(Cause::Memory, done - op.start);
-        done
-    }
-
-    /// Drains level `j`'s buffer until no queued entry overlaps the block
-    /// about to be read from downstream (a read-after-write hazard: the
-    /// freshest copy of the data is in the buffer, so it must reach the
-    /// downstream level first). Returns when the hazard has cleared.
-    fn resolve_raw_hazard(&mut self, j: usize, addr: Address, bytes: u64, t: u64) -> u64 {
-        let mut cleared = t;
-        // The whole hazard drain is one writeback lump on the requester's
-        // critical path; the drains' internals must not record on top.
-        self.scratch.push_suppress();
-        while self.levels[j].out_buffer.overlaps(addr, bytes) {
-            let earliest = self.levels[j]
-                .out_buffer
-                .front()
-                .map(|e| e.ready_at)
-                .unwrap_or(cleared);
-            cleared = cleared.max(self.drain_one(j, cleared.max(earliest)));
-        }
-        self.scratch.pop_suppress();
-        self.scratch.record(Cause::Writeback, cleared - t);
-        cleared
-    }
-
-    // ------------------------------------------------------------------
-    // Write path (buffers and drains)
-    // ------------------------------------------------------------------
-
-    /// Enqueues a write from level `j` toward level `j + 1`. If the buffer
-    /// is full, the oldest entry is drained synchronously first (the
-    /// paper's buffer-full stall). Returns the tick at which the entry was
-    /// accepted — the producer cannot proceed earlier.
-    fn push_writeback(&mut self, j: usize, addr: Address, bytes: u64, t: u64) -> u64 {
-        let entry = BufferedWrite {
-            addr,
-            bytes,
-            ready_at: t,
-        };
-        self.levels[j].writeback_bytes += bytes;
-        if self.levels[j].out_buffer.try_push(entry) {
-            self.hists
-                .write_buffer_occupancy
-                .record(self.levels[j].out_buffer.len() as u64);
-            return t;
-        }
-        // Full: the producer waits for the oldest entry to retire. The
-        // wait is one buffer-full lump; the drain's internals are not
-        // separately on the producer's critical path.
-        self.scratch.push_suppress();
-        let accepted = t.max(self.drain_one(j, t));
-        self.scratch.pop_suppress();
-        self.scratch.record(Cause::BufferFull, accepted - t);
-        let pushed = self.levels[j].out_buffer.try_push(BufferedWrite {
-            addr,
-            bytes,
-            ready_at: accepted,
-        });
-        debug_assert!(pushed, "buffer must have space after forced drain");
-        self.hists
-            .write_buffer_occupancy
-            .record(self.levels[j].out_buffer.len() as u64);
-        accepted
-    }
-
-    /// Retires queued writes from level `j`'s buffer that could have
-    /// started strictly before tick `t` (i.e. in the downstream's idle
-    /// window). Demand traffic arriving at `t` has priority over writes
-    /// that have not yet started.
-    fn drain_ready_before(&mut self, j: usize, t: u64) {
-        // Lazy drains run in the downstream's idle window, entirely off
-        // the demand critical path.
-        self.scratch.push_suppress();
-        self.drain_ready_before_inner(j, t);
-        self.scratch.pop_suppress();
-    }
-
-    fn drain_ready_before_inner(&mut self, j: usize, t: u64) {
-        loop {
-            let Some(front) = self.levels[j].out_buffer.front() else {
-                return;
-            };
-            let downstream_free = if j + 1 == self.levels.len() {
-                self.memory.busy_until()
-            } else {
-                self.levels[j + 1].busy_any()
-            };
-            let would_start = front.ready_at.max(downstream_free);
-            if would_start >= t {
-                return;
-            }
-            self.drain_one(j, would_start);
-        }
-    }
-
-    /// Pops and retires the oldest entry of level `j`'s buffer, returning
-    /// its completion time (or `earliest` if the buffer was empty).
-    fn drain_one(&mut self, j: usize, earliest: u64) -> u64 {
-        let Some(entry) = self.levels[j].out_buffer.pop() else {
-            return earliest;
-        };
-        let start = earliest.max(entry.ready_at);
-        self.write_downstream(j, entry, start)
-    }
-
-    /// Performs the downstream write of one buffered entry from level `j`
-    /// into level `j + 1` (or main memory), returning its completion.
-    fn write_downstream(&mut self, j: usize, entry: BufferedWrite, start: u64) -> u64 {
-        let bus = self.levels[j].refill_bus;
-        let target = j + 1;
-        if target == self.levels.len() {
-            let arrival = start + bus.transfer_ticks(entry.bytes);
-            let op = self.memory.schedule(arrival, MemOpKind::Write);
-            return op.end;
-        }
-
-        let result = self.levels[target]
-            .cache
-            .access(entry.addr, AccessKind::Write);
-        // The first data beat overlaps the write's first cycle; extra
-        // beats serialise before it, mirroring the read path.
-        let arrival = start + bus.extra_beat_ticks(entry.bytes);
-        let wstart = arrival.max(self.levels[target].busy_for(AccessKind::Write));
-
-        let mut done = if result.hit {
-            wstart + self.levels[target].write_cycles
-        } else if result.victim_hit {
-            wstart + self.levels[target].read_cycles + self.levels[target].write_cycles
-        } else if result.fills.is_empty() {
-            // No-write-allocate target: tag check, then forward further
-            // down through the target's own buffer.
-            let checked = wstart + self.levels[target].read_cycles;
-            let accepted = self.push_writeback(target, entry.addr, entry.bytes, checked);
-            checked.max(accepted)
-        } else {
-            let my_block = self.levels[target].cache.block_bytes_for(AccessKind::Write);
-            let detected = wstart + self.levels[target].read_cycles;
-            let (_, chain) =
-                self.service_fills(target, &result.fills, AccessKind::Write, my_block, detected);
-            chain + self.levels[target].write_cycles
-        };
-
-        if result.write_through {
-            let accepted = self.push_writeback(target, entry.addr, entry.bytes, done);
-            done = done.max(accepted);
-        }
-        done = done.max(self.push_extra_writebacks(target, &result, done));
-        self.levels[target].set_busy(AccessKind::Write, done);
-        done
-    }
-
-    /// Enqueues any victim-buffer ejections an access produced, returning
-    /// the time the last one was accepted.
-    fn push_extra_writebacks(&mut self, j: usize, result: &mlc_cache::AccessResult, t: u64) -> u64 {
-        let mut accepted = t;
-        if result.extra_writebacks.is_empty() {
-            return accepted;
-        }
-        let bytes = match &self.levels[j].cache {
-            CacheUnit::Unified(c) => c.geometry().block_bytes(),
-            CacheUnit::Split(s) => s.dcache().geometry().block_bytes(),
-        };
-        // Several ejections push at the same tick; any stall the batch
-        // causes is one buffer-full lump on the critical path.
-        self.scratch.push_suppress();
-        for &addr in &result.extra_writebacks {
-            accepted = accepted.max(self.push_writeback(j, addr, bytes, t));
-        }
-        self.scratch.pop_suppress();
-        self.scratch.record(Cause::BufferFull, accepted - t);
-        accepted
+        self.engine.flush_all();
     }
 }
 
@@ -862,9 +141,7 @@ pub fn simulate<I>(config: HierarchyConfig, records: I) -> Result<SimResult, Sim
 where
     I: IntoIterator<Item = TraceRecord>,
 {
-    let mut sim = HierarchySim::new(config)?;
-    sim.run(records);
-    Ok(sim.result())
+    simulate_with_warmup(config, records, 0)
 }
 
 /// Like [`simulate`], but discards the first `warmup` records from the
@@ -882,26 +159,75 @@ pub fn simulate_with_warmup<I>(
 where
     I: IntoIterator<Item = TraceRecord>,
 {
-    let mut sim = HierarchySim::new(config)?;
-    let mut iter = records.into_iter();
-    for rec in iter.by_ref().take(warmup) {
-        sim.step(rec);
-    }
-    sim.reset_measurement();
-    for rec in iter {
-        sim.step(rec);
-    }
-    Ok(sim.result())
+    let mut engine = Engine::<1>::new(std::slice::from_ref(&config), ())?;
+    let phases = ["sim.warmup", "sim.measure"];
+    engine.warm_then_measure(records, warmup, &Metrics::disabled(), phases);
+    Ok(engine.result(0))
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{CpuConfig, LevelConfig, MemoryConfig};
+    use crate::config::{CpuConfig, LevelCacheConfig, LevelConfig, MemoryConfig};
     use crate::machine::{base_machine, single_level, BaseMachine};
+    use crate::sweep::{TimingSweepSim, LANE_WIDTHS};
     use mlc_cache::{ByteSize, CacheConfig};
     use mlc_obs::EventTracer;
     use mlc_trace::synth::{workload::Preset, MultiProgramGenerator};
+
+    /// One machine on every engine shape: the attributed scalar
+    /// simulator, and for every width in [`LANE_WIDTHS`] a sweep whose
+    /// lanes all carry the same machine. The hand-derived cycle counts
+    /// below are pinned through it, so they hold at every width and in
+    /// every lane — an oracle that does not depend on the engine agreeing
+    /// with itself.
+    struct AllEngines {
+        scalar: HierarchySim,
+        sweeps: Vec<TimingSweepSim>,
+    }
+
+    impl AllEngines {
+        fn new(config: HierarchyConfig) -> Self {
+            let sweeps = LANE_WIDTHS
+                .iter()
+                .map(|&n| {
+                    let sweep = TimingSweepSim::new(&vec![config.clone(); n]).unwrap();
+                    assert_eq!(sweep.width(), n);
+                    sweep
+                })
+                .collect();
+            AllEngines {
+                scalar: HierarchySim::new(config).unwrap(),
+                sweeps,
+            }
+        }
+
+        fn step(&mut self, rec: TraceRecord) {
+            self.scalar.step(rec);
+            for sweep in &mut self.sweeps {
+                sweep.step(rec);
+            }
+        }
+
+        /// The measurement window's result, asserted identical in every
+        /// lane of every width and in the scalar simulator.
+        fn result(&self) -> SimResult {
+            let want = self.scalar.result();
+            for sweep in &self.sweeps {
+                for (lane, got) in sweep.results().iter().enumerate() {
+                    assert_eq!(got, &want, "W{} lane {lane}", sweep.width());
+                }
+            }
+            want
+        }
+
+        /// The simulated clock (no measurement reset happens here, so it
+        /// equals `total_cycles`), asserted identical everywhere.
+        fn now(&self) -> u64 {
+            let total = self.result().total_cycles;
+            assert_eq!(self.scalar.now(), total);
+            total
+        }
+    }
 
     fn small_cache(bytes: u64, block: u64) -> CacheConfig {
         CacheConfig::builder()
@@ -923,7 +249,7 @@ mod tests {
     /// component plus the two tag checks.
     #[test]
     fn cold_full_miss_costs_31_cycles() {
-        let mut sim = HierarchySim::new(base_machine()).unwrap();
+        let mut sim = AllEngines::new(base_machine());
         sim.step(TraceRecord::ifetch(0x0));
         assert_eq!(sim.now(), 31);
         let r = sim.result();
@@ -936,7 +262,7 @@ mod tests {
     /// cycles) on top of the 1-cycle L1 access.
     #[test]
     fn l1_miss_l2_hit_costs_4_cycles() {
-        let mut sim = HierarchySim::new(base_machine()).unwrap();
+        let mut sim = AllEngines::new(base_machine());
         // A and B alias in the 2 KB I-cache (2048 apart) but land in
         // different sets of the 512 KB L2.
         sim.step(TraceRecord::ifetch(0x0)); // cold, 31
@@ -948,7 +274,7 @@ mod tests {
 
     #[test]
     fn warm_hits_cost_one_cycle_each() {
-        let mut sim = HierarchySim::new(base_machine()).unwrap();
+        let mut sim = AllEngines::new(base_machine());
         sim.step(TraceRecord::ifetch(0x0));
         let before = sim.now();
         for _ in 0..10 {
@@ -961,7 +287,7 @@ mod tests {
     /// to 2 cycles and contributes 1 write-stall cycle.
     #[test]
     fn write_hit_takes_two_cycles() {
-        let mut sim = HierarchySim::new(base_machine()).unwrap();
+        let mut sim = AllEngines::new(base_machine());
         sim.step(TraceRecord::ifetch(0x0)); // warm I
         sim.step(TraceRecord::write(0x5000)); // warm D (cold write miss)
         let before = sim.now();
@@ -977,7 +303,7 @@ mod tests {
     /// load hit adds no time to a cycle whose ifetch also hit.
     #[test]
     fn parallel_ifetch_and_load_hit_is_one_cycle() {
-        let mut sim = HierarchySim::new(base_machine()).unwrap();
+        let mut sim = AllEngines::new(base_machine());
         sim.step(TraceRecord::ifetch(0x0));
         sim.step(TraceRecord::read(0x5000));
         let before = sim.now();
@@ -992,14 +318,14 @@ mod tests {
         // level's own rate (2 cycles/beat): 1×tag-check… here read_cycles
         // = 2, so: 2 + (2 addr + 18 read + 2×2 data) = 26.
         let config = single_level(small_cache(64 * 1024, 32), 2, 10.0, 1.0);
-        let mut sim = HierarchySim::new(config).unwrap();
+        let mut sim = AllEngines::new(config);
         sim.step(TraceRecord::ifetch(0x0));
         assert_eq!(sim.now(), 26);
     }
 
     #[test]
     fn memory_refresh_gap_penalises_back_to_back_misses() {
-        let mut sim = HierarchySim::new(base_machine()).unwrap();
+        let mut sim = AllEngines::new(base_machine());
         sim.step(TraceRecord::ifetch(0x0)); // memory read ends at 25
         let before = sim.now();
         // Next miss immediately: its memory op must respect the 12-cycle

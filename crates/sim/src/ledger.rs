@@ -12,14 +12,14 @@
 //!
 //! # How conservation is achieved
 //!
-//! Attribution is settled once per trace record. While
-//! `HierarchySim::step` walks the hierarchy it records the *components*
-//! of the access's critical path into a [`LedgerScratch`] — tag checks
-//! and hit times per level, memory service, refresh-gap waits,
-//! buffer-full drains — in temporal order. When the record completes,
-//! the simulator knows precisely how many cycles the clock advanced
-//! (`delta`), how many of those were the base execute cycle (`exec`, 0
-//! or 1), and therefore the exact stall (`delta - exec`). The scratch
+//! Attribution is settled once per trace record. While the timing
+//! engine walks the hierarchy, the attribution observer `HierarchySim`
+//! attaches records the *components* of the access's critical path —
+//! tag checks and hit times per level, memory service, refresh-gap
+//! waits, buffer-full drains — in temporal order. When the record
+//! completes, the engine knows precisely how many cycles the clock
+//! advanced (`delta`), how many of those were the base execute cycle
+//! (`exec`, 0 or 1), and therefore the exact stall (`delta - exec`). The
 //! components are then reconciled against that stall:
 //!
 //! * components may over-cover the stall (the access's early cycles
@@ -41,7 +41,10 @@
 //! already accounted as one buffer-full lump) is *suppressed*: it can
 //! never leak into the requester's attribution.
 
-use mlc_obs::Log2Histogram;
+use mlc_obs::{EventKind, EventTracer, Log2Histogram, SimEvent};
+use mlc_trace::{AccessKind, TraceRecord};
+
+use crate::engine::Observer;
 
 /// What a span of critical-path ticks was spent on, as recorded by the
 /// hierarchy walk (pre-reconciliation).
@@ -62,67 +65,6 @@ pub(crate) enum Cause {
     /// Waiting for main memory to become available: busy serialisation
     /// plus the refresh gap (Equation 1's `T-recovery` overlap).
     Refresh,
-}
-
-/// Per-record scratch state: the critical-path components of the access
-/// in flight, plus the suppression depth for off-critical-path work.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct LedgerScratch {
-    parts: Vec<(Cause, u64)>,
-    suppress: u32,
-    deepest: u32,
-}
-
-impl LedgerScratch {
-    /// Clears per-record state. Called at the top of every `step`.
-    pub(crate) fn begin(&mut self) {
-        self.parts.clear();
-        self.deepest = 0;
-        debug_assert_eq!(self.suppress, 0, "unbalanced ledger suppression");
-    }
-
-    /// Records `ticks` of critical path spent on `cause`, unless inside
-    /// a suppressed (off-critical-path) region.
-    #[inline]
-    pub(crate) fn record(&mut self, cause: Cause, ticks: u64) {
-        if self.suppress == 0 && ticks > 0 {
-            self.parts.push((cause, ticks));
-        }
-    }
-
-    /// Notes that the critical path reached hierarchy element `element`
-    /// (level index, or the level count for main memory).
-    #[inline]
-    pub(crate) fn touch(&mut self, element: u32) {
-        if self.suppress == 0 {
-            self.deepest = self.deepest.max(element);
-        }
-    }
-
-    /// The deepest element the current record's critical path reached.
-    pub(crate) fn deepest(&self) -> u32 {
-        self.deepest
-    }
-
-    /// Enters an off-critical-path region: recording becomes a no-op
-    /// until the matching [`LedgerScratch::pop_suppress`].
-    #[inline]
-    pub(crate) fn push_suppress(&mut self) {
-        self.suppress += 1;
-    }
-
-    /// Leaves an off-critical-path region.
-    #[inline]
-    pub(crate) fn pop_suppress(&mut self) {
-        debug_assert!(self.suppress > 0, "pop without matching push");
-        self.suppress -= 1;
-    }
-
-    /// Whether recording is currently suppressed.
-    #[inline]
-    pub(crate) fn suppressed(&self) -> bool {
-        self.suppress > 0
-    }
 }
 
 /// Exhaustive attribution of simulated cycles, one bucket per cause.
@@ -243,18 +185,12 @@ impl CycleLedger {
     /// `exec`/`stall` split (see the module docs): drops over-coverage
     /// from the front, attributes exactly `stall` ticks, sends any
     /// under-coverage to the fallback bucket.
-    pub(crate) fn settle(
-        &mut self,
-        scratch: &mut LedgerScratch,
-        exec: u64,
-        stall: u64,
-        write_path: bool,
-    ) {
+    fn settle(&mut self, parts: &mut Vec<(Cause, u64)>, exec: u64, stall: u64, write_path: bool) {
         self.execute += exec;
-        let sum: u64 = scratch.parts.iter().map(|&(_, t)| t).sum();
+        let sum: u64 = parts.iter().map(|&(_, t)| t).sum();
         let mut skip = sum.saturating_sub(stall);
         let mut remaining = stall;
-        for (cause, ticks) in scratch.parts.drain(..) {
+        for (cause, ticks) in parts.drain(..) {
             let dropped = skip.min(ticks);
             skip -= dropped;
             let take = (ticks - dropped).min(remaining);
@@ -311,19 +247,145 @@ impl SimHistograms {
     }
 }
 
+/// The attribution observer `HierarchySim` attaches to the timing
+/// engine: it collects each record's critical-path components, settles
+/// them into the [`CycleLedger`], feeds the [`SimHistograms`] and
+/// samples the optional event trace.
+#[derive(Debug, Clone)]
+pub(crate) struct Attribution {
+    /// The record in flight's critical-path components, in temporal
+    /// order.
+    parts: Vec<(Cause, u64)>,
+    /// Nesting depth of off-critical-path regions; recording is a no-op
+    /// while it is non-zero.
+    suppress: u32,
+    /// The deepest element the record's critical path reached.
+    deepest: u32,
+    /// Global index of the record in flight (warm-up included).
+    index: u64,
+    last_l0_read_miss: Option<u64>,
+    pub(crate) ledger: CycleLedger,
+    pub(crate) hists: SimHistograms,
+    pub(crate) tracer: Option<EventTracer>,
+}
+
+impl Attribution {
+    /// An empty observer for a hierarchy of `depth` cache levels.
+    pub(crate) fn new(depth: usize) -> Self {
+        Attribution {
+            parts: Vec::new(),
+            suppress: 0,
+            deepest: 0,
+            index: 0,
+            last_l0_read_miss: None,
+            ledger: CycleLedger::new(depth),
+            hists: SimHistograms::new(depth),
+            tracer: None,
+        }
+    }
+}
+
+impl Observer for Attribution {
+    fn begin(&mut self) {
+        self.parts.clear();
+        self.deepest = 0;
+        debug_assert_eq!(self.suppress, 0, "unbalanced ledger suppression");
+    }
+
+    fn touch(&mut self, element: usize) {
+        if self.suppress == 0 {
+            self.deepest = self.deepest.max(element as u32);
+        }
+    }
+
+    fn record(&mut self, cause: Cause, ticks: u64) {
+        if self.suppress == 0 && ticks > 0 {
+            self.parts.push((cause, ticks));
+        }
+    }
+
+    fn push_suppress(&mut self) {
+        self.suppress += 1;
+    }
+
+    fn pop_suppress(&mut self) {
+        debug_assert!(self.suppress > 0, "pop without matching push");
+        self.suppress -= 1;
+    }
+
+    fn read_miss_latency(&mut self, level: usize, ticks: u64) {
+        // Demand paths only: background fills are suppressed.
+        if self.suppress == 0 {
+            self.hists.read_miss_latency[level].record(ticks);
+        }
+    }
+
+    fn l0_read_miss(&mut self) {
+        if let Some(last) = self.last_l0_read_miss {
+            self.hists.inter_miss_distance.record(self.index - last);
+        }
+        self.last_l0_read_miss = Some(self.index);
+    }
+
+    fn buffer_occupancy(&mut self, len: usize) {
+        self.hists.write_buffer_occupancy.record(len as u64);
+    }
+
+    fn settle(&mut self, rec: TraceRecord, start: u64, exec: u64, old_now: u64, now: u64) {
+        let stall = (now - old_now) - exec;
+        self.ledger
+            .settle(&mut self.parts, exec, stall, rec.kind.is_write());
+        let index = self.index;
+        self.index += 1;
+        if let Some(tracer) = &mut self.tracer {
+            if tracer.wants(index) {
+                tracer.push(SimEvent {
+                    index,
+                    kind: match rec.kind {
+                        AccessKind::InstructionFetch => EventKind::Ifetch,
+                        AccessKind::Read => EventKind::Read,
+                        AccessKind::Write => EventKind::Write,
+                    },
+                    addr: rec.addr.get(),
+                    start_cycle: start,
+                    cycles: now - start,
+                    stall_cycles: stall,
+                    serviced: self.deepest,
+                });
+            }
+        }
+    }
+
+    fn reset(&mut self) {
+        self.ledger.reset();
+        self.hists.reset();
+        self.last_l0_read_miss = None;
+    }
+
+    #[cfg(feature = "check-invariants")]
+    fn check(&self, elapsed: u64) -> Result<(), String> {
+        let attributed = self.ledger.total();
+        if attributed == elapsed {
+            return Ok(());
+        }
+        Err(format!(
+            "cycle ledger broke conservation: {attributed} attributed vs {elapsed} elapsed"
+        ))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn settle_one(parts: &[(Cause, u64)], exec: u64, stall: u64, write_path: bool) -> CycleLedger {
-        let mut ledger = CycleLedger::new(2);
-        let mut scratch = LedgerScratch::default();
-        scratch.begin();
+        let mut obs = Attribution::new(2);
+        obs.begin();
         for &(c, t) in parts {
-            scratch.record(c, t);
+            obs.record(c, t);
         }
-        ledger.settle(&mut scratch, exec, stall, write_path);
-        ledger
+        obs.ledger.settle(&mut obs.parts, exec, stall, write_path);
+        obs.ledger
     }
 
     #[test]
@@ -385,19 +447,19 @@ mod tests {
 
     #[test]
     fn suppressed_regions_record_nothing() {
-        let mut scratch = LedgerScratch::default();
-        scratch.begin();
-        scratch.push_suppress();
-        scratch.record(Cause::Memory, 100);
-        scratch.touch(2);
-        assert!(scratch.suppressed());
-        scratch.pop_suppress();
-        scratch.record(Cause::Level(0), 1);
-        scratch.touch(1);
-        assert_eq!(scratch.deepest(), 1);
-        let mut ledger = CycleLedger::new(2);
-        ledger.settle(&mut scratch, 0, 1, false);
-        assert_eq!(ledger.read_miss, vec![1, 0, 0]);
+        let mut obs = Attribution::new(2);
+        obs.begin();
+        obs.push_suppress();
+        obs.record(Cause::Memory, 100);
+        obs.touch(2);
+        obs.read_miss_latency(0, 100);
+        obs.pop_suppress();
+        obs.record(Cause::Level(0), 1);
+        obs.touch(1);
+        assert_eq!(obs.deepest, 1);
+        assert!(obs.hists.read_miss_latency[0].is_empty());
+        obs.ledger.settle(&mut obs.parts, 0, 1, false);
+        assert_eq!(obs.ledger.read_miss, vec![1, 0, 0]);
     }
 
     #[test]

@@ -44,9 +44,9 @@
 
 mod clock;
 mod config;
+mod engine;
 mod hierarchy;
 pub mod ledger;
-mod level;
 pub mod machine;
 pub mod metrics;
 pub mod observe;

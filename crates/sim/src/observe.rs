@@ -1,17 +1,17 @@
 //! Feeding the `mlc-obs` metrics core from simulation runs.
 //!
-//! The simulator's hot path ([`HierarchySim::step`]) never touches a
-//! metrics handle — observability here is strictly phase-boundary work:
-//! the observed drivers time the warm-up and measurement passes
-//! separately, then translate the final [`SimResult`] event counts into
-//! named counters. With a disabled handle the drivers cost exactly one
-//! branch more than the plain ones.
+//! The simulator's hot path never touches a metrics handle —
+//! observability here is strictly phase-boundary work: the observed
+//! drivers time the warm-up and measurement passes separately, then
+//! translate the final [`SimResult`] event counts into named counters.
+//! The plain drivers are the same code with a disabled handle.
 
 use mlc_obs::{EventTracer, Metrics};
 use mlc_trace::TraceRecord;
 
+use crate::engine::Engine;
 use crate::hierarchy::HierarchySim;
-use crate::ledger::{CycleLedger, SimHistograms};
+use crate::ledger::{Attribution, CycleLedger, SimHistograms};
 use crate::metrics::SimResult;
 use crate::sweep::{TimingSweepSim, MAX_LANES};
 use crate::{HierarchyConfig, SimConfigError};
@@ -149,30 +149,30 @@ pub fn simulate_with_warmup_attributed(
     if let Some(every) = sample_every {
         sim.attach_tracer(EventTracer::new(every.max(1)));
     }
-    let warm = warmup.min(records.len());
-    let timer = metrics.time_phase("sim.warmup");
-    for rec in &records[..warm] {
-        sim.step(*rec);
-    }
-    timer.stop();
-    sim.reset_measurement();
-    let timer = metrics.time_phase("sim.measure");
-    for rec in &records[warm..] {
-        sim.step(*rec);
-    }
-    timer.stop();
+    sim.engine.warm_then_measure(
+        records.iter().copied(),
+        warmup,
+        metrics,
+        ["sim.warmup", "sim.measure"],
+    );
     let result = sim.result();
     let level_names = sim.level_names();
     let names: Vec<&str> = level_names.iter().map(String::as_str).collect();
+    let Attribution {
+        ledger,
+        hists,
+        tracer,
+        ..
+    } = sim.engine.obs;
     observe_result(metrics, "sim", &result);
-    observe_ledger(metrics, "sim", sim.ledger(), &names);
-    observe_histograms(metrics, "sim", sim.histograms(), &names);
+    observe_ledger(metrics, "sim", &ledger, &names);
+    observe_histograms(metrics, "sim", &hists, &names);
     Ok(AttributedRun {
-        ledger: sim.ledger().clone(),
-        histograms: sim.histograms().clone(),
-        tracer: sim.take_tracer(),
-        level_names,
         result,
+        ledger,
+        histograms: hists,
+        tracer,
+        level_names,
     })
 }
 
@@ -191,20 +191,10 @@ pub fn simulate_with_warmup_observed(
     warmup: usize,
     metrics: &Metrics,
 ) -> Result<SimResult, SimConfigError> {
-    let mut sim = HierarchySim::new(config)?;
-    let warm = warmup.min(records.len());
-    let timer = metrics.time_phase("sim.warmup");
-    for rec in &records[..warm] {
-        sim.step(*rec);
-    }
-    timer.stop();
-    sim.reset_measurement();
-    let timer = metrics.time_phase("sim.measure");
-    for rec in &records[warm..] {
-        sim.step(*rec);
-    }
-    timer.stop();
-    let result = sim.result();
+    let mut engine = Engine::<1>::new(std::slice::from_ref(&config), ())?;
+    let phases = ["sim.warmup", "sim.measure"];
+    engine.warm_then_measure(records.iter().copied(), warmup, metrics, phases);
+    let result = engine.result(0);
     observe_result(metrics, "sim", &result);
     Ok(result)
 }
@@ -225,17 +215,10 @@ pub fn simulate_timing_sweep_observed(
     metrics: &Metrics,
 ) -> Result<Vec<SimResult>, SimConfigError> {
     let mut out = Vec::with_capacity(configs.len());
-    for chunk in configs.chunks(MAX_LANES.max(1)) {
+    for chunk in configs.chunks(MAX_LANES) {
         let mut sim = TimingSweepSim::new(chunk)?;
         metrics.add("sweep.lane_passes", 1);
-        let warm = warmup.min(records.len());
-        let timer = metrics.time_phase("sweep.warmup");
-        sim.run_slice(&records[..warm]);
-        timer.stop();
-        sim.reset_measurement();
-        let timer = metrics.time_phase("sweep.measure");
-        sim.run_slice(&records[warm..]);
-        timer.stop();
+        sim.warm_then_measure(records, warmup, metrics, ["sweep.warmup", "sweep.measure"]);
         out.extend(sim.results());
     }
     Ok(out)
