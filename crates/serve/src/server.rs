@@ -1049,6 +1049,11 @@ impl Server {
             explorer.try_l2_rows(engine, &base, &sizes, &header.cycles, ways, &todo, sink);
         self.telemetry
             .record_span(Stage::Simulate, &job.trace_id, t);
+        // Free the trace before the terminal event goes out: the waiter
+        // may submit again at once, and its next trace must not be
+        // decoded while this one is still held, or the daemon's peak
+        // memory would depend on which thread wins that race.
+        drop(trace);
         // Close the journal before commit renames the file.
         drop(journal.into_inner().unwrap_or_else(|p| p.into_inner()));
 
