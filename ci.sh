@@ -23,6 +23,10 @@ echo "==> cargo clippy with check-invariants (deny warnings)"
 cargo clippy --workspace --all-targets --offline \
     --features mlc-sim/check-invariants -- -D warnings
 
+echo "==> cargo doc (deny broken intra-doc links)"
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" \
+    cargo doc --no-deps --workspace --offline
+
 echo "==> cargo build --release"
 cargo build --workspace --release --offline
 

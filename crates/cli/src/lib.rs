@@ -27,10 +27,10 @@ pub mod machine_file;
 pub mod obs;
 
 use std::fs::File;
-use std::io::{self, BufReader, Write};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
-use mlc_trace::{binary, din, slice, FaultPolicy, IngestReport, TraceError, TraceRecord};
+use mlc_trace::{binary, din, FaultPolicy, IngestReport, TraceError, TraceRecord};
 
 use crate::args::{Args, Flag};
 
@@ -42,16 +42,7 @@ use crate::args::{Args, Flag};
 ///
 /// Returns a [`TraceError`] on I/O or parse failure.
 pub fn read_trace_file(path: &Path) -> Result<Vec<TraceRecord>, TraceError> {
-    if path.extension().is_some_and(|e| e == "din") {
-        let file = File::open(path)?;
-        din::read_din(BufReader::new(file))
-    } else {
-        // Binary traces go through the zero-copy slice decoder: one
-        // read into memory, then straight slice decode (no per-record
-        // reader round trips).
-        let bytes = std::fs::read(path)?;
-        slice::read_binary_slice(&bytes)
-    }
+    mlc_trace::read_file(path, FaultPolicy::Fail, None).map(|(records, _)| records)
 }
 
 /// The `--trace-faults` flag shared by every trace-reading binary.
@@ -171,13 +162,7 @@ pub fn read_trace_file_with(
         return read_trace_file(path).map(|records| (records, IngestReport::default(), None));
     }
     let mut sidecar = LazyFile::new(quarantine_path(path));
-    let result = if path.extension().is_some_and(|e| e == "din") {
-        let file = File::open(path)?;
-        din::read_din_with(BufReader::new(file), policy, Some(&mut sidecar))
-    } else {
-        let bytes = std::fs::read(path)?;
-        slice::read_binary_slice_with(&bytes, policy, Some(&mut sidecar))
-    };
+    let result = mlc_trace::read_file(path, policy, Some(&mut sidecar));
     // Publish even when the read failed (e.g. the fault budget was
     // exceeded): the partial sidecar is exactly the debugging evidence
     // the error message points at.

@@ -248,24 +248,11 @@ pub fn write_chrome_trace<W: Write>(
     level_names: &[&str],
     tracer: &EventTracer,
 ) -> io::Result<()> {
-    let mut w = io::BufWriter::new(w);
     let us_per_cycle = cpu_cycle_ns / 1000.0;
-    let mut trace_events = Vec::new();
-    // Track-name metadata: one track per level plus main memory.
-    for tid in 0..=level_names.len() {
-        trace_events.push(JsonValue::object([
-            ("name".into(), "thread_name".into()),
-            ("ph".into(), "M".into()),
-            ("pid".into(), 1u64.into()),
-            ("tid".into(), (tid as u64).into()),
-            (
-                "args".into(),
-                JsonValue::object([("name".into(), serviced_name(tid as u32, level_names).into())]),
-            ),
-        ]));
-    }
-    for ev in tracer.events() {
-        trace_events.push(JsonValue::object([
+    // One track per level plus main memory.
+    let tracks = (0..=level_names.len()).map(|tid| serviced_name(tid as u32, level_names));
+    let slices = tracer.events().iter().map(|ev| {
+        JsonValue::object([
             (
                 "name".into(),
                 format!(
@@ -294,21 +281,55 @@ pub fn write_chrome_trace<W: Write>(
                     ("stall_cycles".into(), ev.stall_cycles.into()),
                 ]),
             ),
-        ]));
-    }
+        ])
+    });
+    write_chrome_envelope(
+        w,
+        tracks,
+        slices,
+        [
+            ("schema".into(), "mlc-chrome-trace/1".into()),
+            ("cpu_cycle_ns".into(), cpu_cycle_ns.into()),
+            ("sample_every".into(), tracer.every().into()),
+            ("truncated".into(), tracer.truncated().into()),
+        ],
+    )
+}
+
+/// Writes one Chrome trace-event document: a `thread_name` metadata
+/// event per entry of `tracks` (its `tid` is the position), then the
+/// caller's `"ph":"X"` `slices`, inside the `traceEvents` /
+/// `displayTimeUnit` / `otherData` envelope. Every Perfetto export of
+/// the workspace goes through here.
+pub(crate) fn write_chrome_envelope<W: Write>(
+    w: W,
+    tracks: impl IntoIterator<Item = impl Into<JsonValue>>,
+    slices: impl IntoIterator<Item = JsonValue>,
+    other_data: impl IntoIterator<Item = (String, JsonValue)>,
+) -> io::Result<()> {
+    let mut trace_events: Vec<JsonValue> = tracks
+        .into_iter()
+        .enumerate()
+        .map(|(tid, name)| {
+            JsonValue::object([
+                ("name".into(), "thread_name".into()),
+                ("ph".into(), "M".into()),
+                ("pid".into(), 1u64.into()),
+                ("tid".into(), (tid as u64).into()),
+                (
+                    "args".into(),
+                    JsonValue::object([("name".into(), name.into())]),
+                ),
+            ])
+        })
+        .collect();
+    trace_events.extend(slices);
     let doc = JsonValue::object([
         ("traceEvents".into(), JsonValue::Array(trace_events)),
         ("displayTimeUnit".into(), "ns".into()),
-        (
-            "otherData".into(),
-            JsonValue::object([
-                ("schema".into(), "mlc-chrome-trace/1".into()),
-                ("cpu_cycle_ns".into(), cpu_cycle_ns.into()),
-                ("sample_every".into(), tracer.every().into()),
-                ("truncated".into(), tracer.truncated().into()),
-            ]),
-        ),
+        ("otherData".into(), JsonValue::object(other_data)),
     ]);
+    let mut w = io::BufWriter::new(w);
     writeln!(w, "{}", doc.to_string_compact())?;
     w.flush()
 }
@@ -423,6 +444,21 @@ mod tests {
             doc.get("otherData").and_then(|o| o.get("schema")),
             Some(&JsonValue::Str("mlc-chrome-trace/1".into()))
         );
+        // The whole document, pinned: the export format is a contract
+        // with Perfetto and with the `jq` checks in ci.sh.
+        let golden = concat!(
+            r#"{"traceEvents":["#,
+            r#"{"name":"thread_name","ph":"M","pid":1,"tid":0,"args":{"name":"L1"}},"#,
+            r#"{"name":"thread_name","ph":"M","pid":1,"tid":1,"args":{"name":"L2"}},"#,
+            r#"{"name":"thread_name","ph":"M","pid":1,"tid":2,"args":{"name":"memory"}},"#,
+            r#"{"name":"ifetch memory","cat":"access","ph":"X","ts":0,"dur":0.31,"pid":1,"tid":2,"#,
+            r#""args":{"index":0,"addr":"0x40","stall_cycles":30}},"#,
+            r#"{"name":"write L1","cat":"access","ph":"X","ts":0.4,"dur":0.02,"pid":1,"tid":0,"#,
+            r#""args":{"index":4,"addr":"0x5000","stall_cycles":1}}],"#,
+            r#""displayTimeUnit":"ns","otherData":{"schema":"mlc-chrome-trace/1","#,
+            r#""cpu_cycle_ns":10,"sample_every":4,"truncated":false}}"#,
+        );
+        assert_eq!(doc, JsonValue::parse(golden).unwrap());
     }
 
     #[test]

@@ -20,6 +20,7 @@ use std::io::{self, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::digest::Fnv64;
+use crate::events::write_chrome_envelope;
 use crate::json::JsonValue;
 
 /// The schema tag stamped into `otherData` of a span Chrome trace.
@@ -153,22 +154,8 @@ pub fn valid_trace_id(id: &str) -> bool {
 ///
 /// Any I/O error from `w`.
 pub fn write_span_chrome_trace<W: Write>(w: W, spans: &[SpanRecord]) -> io::Result<()> {
-    let mut w = io::BufWriter::new(w);
-    let mut trace_events = Vec::new();
-    for stage in Stage::ALL {
-        trace_events.push(JsonValue::object([
-            ("name".into(), "thread_name".into()),
-            ("ph".into(), "M".into()),
-            ("pid".into(), 1u64.into()),
-            ("tid".into(), (stage.index() as u64).into()),
-            (
-                "args".into(),
-                JsonValue::object([("name".into(), stage.as_str().into())]),
-            ),
-        ]));
-    }
-    for span in spans {
-        trace_events.push(JsonValue::object([
+    let slices = spans.iter().map(|span| {
+        JsonValue::object([
             ("name".into(), span.stage.as_str().into()),
             ("cat".into(), "request".into()),
             ("ph".into(), "X".into()),
@@ -184,22 +171,17 @@ pub fn write_span_chrome_trace<W: Write>(w: W, spans: &[SpanRecord]) -> io::Resu
                     ("span_id".into(), span.span_id.into()),
                 ]),
             ),
-        ]));
-    }
-    let doc = JsonValue::object([
-        ("traceEvents".into(), JsonValue::Array(trace_events)),
-        ("displayTimeUnit".into(), "ns".into()),
-        (
-            "otherData".into(),
-            JsonValue::object([
-                ("schema".into(), SPAN_TRACE_SCHEMA.into()),
-                ("spans".into(), (spans.len() as u64).into()),
-            ]),
-        ),
-    ]);
-    w.write_all(doc.to_string_pretty().as_bytes())?;
-    w.write_all(b"\n")?;
-    w.flush()
+        ])
+    });
+    write_chrome_envelope(
+        w,
+        Stage::ALL.map(Stage::as_str),
+        slices,
+        [
+            ("schema".into(), SPAN_TRACE_SCHEMA.into()),
+            ("spans".into(), (spans.len() as u64).into()),
+        ],
+    )
 }
 
 #[cfg(test)]
@@ -286,5 +268,26 @@ mod tests {
             events[Stage::COUNT + 1].get("dur").unwrap().as_u64(),
             Some(1)
         );
+        // The whole document, pinned: the export format is a contract
+        // with Perfetto and with the `jq` checks in ci.sh.
+        let golden = concat!(
+            r#"{"traceEvents":["#,
+            r#"{"name":"thread_name","ph":"M","pid":1,"tid":0,"args":{"name":"accept"}},"#,
+            r#"{"name":"thread_name","ph":"M","pid":1,"tid":1,"args":{"name":"parse"}},"#,
+            r#"{"name":"thread_name","ph":"M","pid":1,"tid":2,"args":{"name":"admission"}},"#,
+            r#"{"name":"thread_name","ph":"M","pid":1,"tid":3,"args":{"name":"key"}},"#,
+            r#"{"name":"thread_name","ph":"M","pid":1,"tid":4,"args":{"name":"mem-lookup"}},"#,
+            r#"{"name":"thread_name","ph":"M","pid":1,"tid":5,"args":{"name":"disk-lookup"}},"#,
+            r#"{"name":"thread_name","ph":"M","pid":1,"tid":6,"args":{"name":"simulate"}},"#,
+            r#"{"name":"thread_name","ph":"M","pid":1,"tid":7,"args":{"name":"journal-commit"}},"#,
+            r#"{"name":"thread_name","ph":"M","pid":1,"tid":8,"args":{"name":"evict"}},"#,
+            r#"{"name":"thread_name","ph":"M","pid":1,"tid":9,"args":{"name":"reply"}},"#,
+            r#"{"name":"simulate","cat":"request","ph":"X","ts":100,"dur":2500,"pid":1,"tid":6,"#,
+            r#""args":{"trace_id":"trc-1","span_id":7}},"#,
+            r#"{"name":"journal-commit","cat":"request","ph":"X","ts":2600,"dur":1,"pid":1,"tid":7,"#,
+            r#""args":{"trace_id":"trc-1","span_id":8}}],"#,
+            r#""displayTimeUnit":"ns","otherData":{"schema":"mlc-serve-spans/1","spans":2}}"#,
+        );
+        assert_eq!(doc, JsonValue::parse(golden).unwrap());
     }
 }

@@ -32,8 +32,7 @@
 
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
-use std::fs::File;
-use std::io::{self, BufReader};
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
@@ -69,14 +68,9 @@ pub type TraceLoader = Box<dyn Fn(&Path, &str) -> Result<Vec<TraceRecord>, Strin
 /// quarantine).
 pub fn default_loader() -> TraceLoader {
     Box::new(|path: &Path, _trace_id: &str| {
-        let result = if path.extension().is_some_and(|e| e == "din") {
-            let file = File::open(path).map_err(|e| e.to_string())?;
-            mlc_trace::din::read_din(BufReader::new(file))
-        } else {
-            let bytes = std::fs::read(path).map_err(|e| e.to_string())?;
-            mlc_trace::slice::read_binary_slice(&bytes)
-        };
-        result.map_err(|e| e.to_string())
+        mlc_trace::read_file(path, mlc_trace::FaultPolicy::Fail, None)
+            .map(|(records, _)| records)
+            .map_err(|e| e.to_string())
     })
 }
 

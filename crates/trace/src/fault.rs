@@ -22,7 +22,11 @@
 //! `read_binary_with` in the format modules): malformed din lines and
 //! bad v1/v2 record kinds are skippable because the surrounding records
 //! still frame correctly; header corruption and undecodable v2 varints
-//! are always fatal because nothing after them can be trusted.
+//! are always fatal because nothing after them can be trusted. A failing
+//! reader is always fatal too: the din reader stops at the failing line,
+//! and the binary reader, which reads its input to the end before the
+//! slice decoder sees a byte, reports [`TraceError::Io`] wherever the
+//! failure lands — header included.
 
 use std::fmt::Write as _;
 use std::io::{self, Read, Write};

@@ -5,7 +5,9 @@
 //!
 //! * [`TraceRecord`] / [`AccessKind`] / [`Address`] — the reference model.
 //! * [`din`] and [`binary`] — trace file formats (the classic Dinero text
-//!   format and a compact binary format).
+//!   format and a compact binary format), with [`slice`](mod@slice) the
+//!   one decoder of the binary layouts and [`read_file`] the one file
+//!   reader that picks a format by extension.
 //! * [`synth`] — seeded synthetic workload generators reproducing the
 //!   statistical properties of the ISCA 1989 paper's eight
 //!   multiprogramming traces (see DESIGN.md §4 for the substitution
@@ -64,3 +66,29 @@ pub use fault::{FaultInjector, FaultPlan, FaultPolicy, IngestReport};
 pub use record::{AccessKind, Address, TraceRecord};
 pub use stats::TraceStats;
 pub use stream::{IntoIterRecords, TraceSource};
+
+use std::io::Write;
+use std::path::Path;
+
+/// Reads a trace file, dispatching on extension: `.din` is parsed as
+/// Dinero text; anything else as the `mlc` binary format (either
+/// layout), read into memory in one piece and slice-decoded. Malformed
+/// records are handled under `policy`, with each quarantined record
+/// written to `quarantine` when one is given.
+///
+/// # Errors
+///
+/// Returns [`TraceError::Io`] if the file cannot be opened or read, and
+/// otherwise the errors of [`din::read_din_with`] or
+/// [`slice::read_binary_slice_with`].
+pub fn read_file(
+    path: &Path,
+    policy: FaultPolicy,
+    quarantine: Option<&mut dyn Write>,
+) -> Result<(Vec<TraceRecord>, IngestReport), TraceError> {
+    if path.extension().is_some_and(|e| e == "din") {
+        din::read_din_with(std::fs::File::open(path)?, policy, quarantine)
+    } else {
+        slice::read_binary_slice_with(&std::fs::read(path)?, policy, quarantine)
+    }
+}

@@ -1,27 +1,22 @@
-//! Zero-copy binary trace decoding over in-memory byte slices.
+//! The binary trace decoder: both layouts, decoded from an in-memory
+//! byte slice.
 //!
-//! The [`binary`](crate::binary) module streams through `Read`, paying a
-//! buffered-reader round trip per record (and, for v2, per varint
-//! *byte* before the fill-buf rework). When the whole trace is already
-//! in memory — a full-buffer file read, an mmap, a network body — the
-//! decoder can instead walk a `&[u8]` directly: no copies into
-//! intermediate record buffers, bounds checks amortized per token, and
-//! the v1 fixed-width payload decoded block-wise.
-//!
-//! The two paths are **behaviourally identical** by contract, and the
-//! `slice_props` property suite enforces it byte-for-byte: identical
-//! records, identical typed error messages, identical quarantine
-//! sidecar lines and [`IngestReport`]s across every-offset truncations
-//! and bit-flips of the input. Anything the `Read` path accepts,
-//! rejects or quarantines, this path accepts, rejects or quarantines
-//! identically — the only divergence is speed.
+//! This is the only decoder of the v1 and v2 payloads. The `Read` entry
+//! points in [`binary`](crate::binary) read their input to the end and
+//! call [`read_binary_slice_with`], so a change to the format, to an
+//! error message or to quarantine behaviour is made here once. Walking a
+//! `&[u8]` — a full-buffer file read, an mmap, a network body — needs no
+//! intermediate record buffers, and bounds checks are amortized per
+//! record or token.
 //!
 //! Entry points:
 //!
 //! * [`read_binary_slice`] / [`read_binary_slice_with`] — the slice
-//!   twins of `read_binary` / `read_binary_with`.
-//! * [`SliceRecords`] — a strict streaming iterator for pipelines that
-//!   want records without materializing a `Vec<TraceRecord>`.
+//!   forms of `read_binary` / `read_binary_with`. The `slice_props`
+//!   property suite checks that the two APIs agree: identical records,
+//!   typed error messages, quarantine sidecar lines and
+//!   [`IngestReport`]s across every-offset truncations and bit-flips of
+//!   the input.
 
 use std::io::Write;
 
@@ -33,17 +28,9 @@ use crate::error::TraceError;
 use crate::fault::{absorb_fault, hex_bytes, FaultPolicy, IngestReport};
 use crate::record::{AccessKind, Address, TraceRecord};
 
-/// A validated binary trace header over a slice: version, declared
-/// record count, and the payload offset.
-#[derive(Debug, Clone, Copy)]
-struct SliceHeader {
-    version: u16,
-    count: usize,
-}
-
-/// Parses and validates the 16-byte header, with the exact error
-/// messages of the `Read`-based path.
-fn parse_header(bytes: &[u8]) -> Result<SliceHeader, TraceError> {
+/// Parses and validates the 16-byte header, returning the format
+/// version and the declared record count.
+fn parse_header(bytes: &[u8]) -> Result<(u16, usize), TraceError> {
     if bytes.len() < HEADER_LEN {
         return Err(TraceError::ParseBinary("truncated header".into()));
     }
@@ -68,25 +55,26 @@ fn parse_header(bytes: &[u8]) -> Result<SliceHeader, TraceError> {
     let count: usize = u64::from_le_bytes(count_bytes)
         .try_into()
         .map_err(|_| TraceError::ParseBinary("record count overflows usize".into()))?;
-    Ok(SliceHeader { version, count })
+    Ok((version, count))
 }
 
 /// Outcome of decoding one v2 token from a slice.
 pub(crate) enum Token {
     /// `(label, zigzag, token_len)` — a complete token.
     Complete(u8, u64, usize),
-    /// The slice ended mid-token; the payload holds every byte consumed
-    /// (possibly none), exactly what the `Read` path would have
-    /// captured for the quarantine line.
+    /// The slice ended mid-token; the payload is the number of bytes
+    /// consumed (possibly none), which the quarantine line dumps.
     Truncated(usize),
     /// The varint encoding is invalid; the stream cannot be resynced.
     Invalid(&'static str),
 }
 
-/// Decodes one v2 token starting at `pos`, mirroring the capture
-/// semantics of the streaming `read_varint_capturing` exactly: at most
-/// 1 + 10 bytes, a 10th varint byte may carry only the top bit of the
-/// u64, and continuation past 10 varint bytes is invalid.
+/// Decodes one v2 token starting at `pos`: at most 1 + 10 bytes.
+///
+/// A `u64` needs at most 10 LEB128 bytes, and the 10th byte can carry
+/// only the top bit of the value; both a continuation past 10 bytes and
+/// significant bits beyond 64 are rejected instead of silently wrapping
+/// the decoded value.
 #[inline]
 pub(crate) fn decode_token(bytes: &[u8], pos: usize) -> Token {
     const MAX_BYTES: usize = 10;
@@ -116,14 +104,13 @@ pub(crate) fn decode_token(bytes: &[u8], pos: usize) -> Token {
     Token::Invalid("varint continues past 10 bytes")
 }
 
-/// Reads an entire binary trace from an in-memory slice — the
-/// zero-copy twin of [`read_binary`](crate::binary::read_binary).
+/// Reads an entire binary trace from an in-memory slice — the slice form
+/// of [`read_binary`](crate::binary::read_binary).
 ///
 /// # Errors
 ///
 /// Returns [`TraceError::ParseBinary`] if the magic, version, record
-/// count or any record is malformed, with messages identical to the
-/// `Read`-based path.
+/// count or any record is malformed.
 ///
 /// # Examples
 ///
@@ -141,15 +128,15 @@ pub fn read_binary_slice(bytes: &[u8]) -> Result<Vec<TraceRecord>, TraceError> {
 }
 
 /// Reads a binary trace from an in-memory slice under a
-/// [`FaultPolicy`] — the zero-copy twin of
-/// [`read_binary_with`](crate::binary::read_binary_with), with
-/// identical recoverable/fatal fault classification, identical typed
-/// errors and identical quarantine sidecar lines.
+/// [`FaultPolicy`] — the slice form of
+/// [`read_binary_with`](crate::binary::read_binary_with), which lists
+/// the recoverable and the always-fatal faults.
 ///
 /// # Errors
 ///
 /// Exactly as [`read_binary_with`](crate::binary::read_binary_with),
-/// except that slices cannot raise I/O errors.
+/// except that slices cannot raise I/O errors (a quarantine sidecar
+/// write still can).
 ///
 /// # Examples
 ///
@@ -173,11 +160,10 @@ pub fn read_binary_slice_with(
 ) -> Result<(Vec<TraceRecord>, IngestReport), TraceError> {
     let mut quarantine = quarantine;
     let mut report = IngestReport::default();
-    let header = parse_header(bytes)?;
-    let count = header.count;
+    let (version, count) = parse_header(bytes)?;
     let mut out = Vec::with_capacity(count.min(1 << 24));
     let mut pos = HEADER_LEN;
-    match header.version {
+    match version {
         VERSION => {
             for i in 0..count {
                 let Some(rec) = bytes.get(pos..pos + RECORD_LEN) else {
@@ -275,134 +261,6 @@ pub fn read_binary_slice_with(
     Ok((out, report))
 }
 
-/// A strict streaming iterator over a binary trace slice: yields each
-/// record without materializing a `Vec<TraceRecord>`, for single-pass
-/// consumers (statistics, digests, filters).
-///
-/// The header is validated at construction; record-level damage
-/// surfaces as an `Err` item with the same message the strict
-/// [`read_binary_slice`] would return, after which the iterator fuses.
-/// Trailing bytes after the declared final record yield one final
-/// `Err`.
-///
-/// # Examples
-///
-/// ```
-/// use mlc_trace::{binary, slice::SliceRecords, TraceRecord};
-///
-/// let recs = vec![TraceRecord::read(0x10), TraceRecord::read(0x20)];
-/// let mut buf = Vec::new();
-/// binary::write_compressed(&mut buf, &recs)?;
-/// let streamed: Result<Vec<_>, _> = SliceRecords::new(&buf)?.collect();
-/// assert_eq!(streamed?, recs);
-/// # Ok::<(), mlc_trace::TraceError>(())
-/// ```
-#[derive(Debug, Clone)]
-pub struct SliceRecords<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    version: u16,
-    count: usize,
-    emitted: usize,
-    last: [u64; KIND_SLOTS],
-    fused: bool,
-}
-
-impl<'a> SliceRecords<'a> {
-    /// Validates the header and positions the iterator at the first
-    /// record.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError::ParseBinary`] for a truncated or corrupt
-    /// header, with the same messages as [`read_binary_slice`].
-    pub fn new(bytes: &'a [u8]) -> Result<Self, TraceError> {
-        let header = parse_header(bytes)?;
-        Ok(SliceRecords {
-            bytes,
-            pos: HEADER_LEN,
-            version: header.version,
-            count: header.count,
-            emitted: 0,
-            last: [0u64; KIND_SLOTS],
-            fused: false,
-        })
-    }
-
-    /// The record count the header declares.
-    pub fn declared_records(&self) -> usize {
-        self.count
-    }
-
-    fn fail(&mut self, msg: String) -> Option<Result<TraceRecord, TraceError>> {
-        self.fused = true;
-        Some(Err(TraceError::ParseBinary(msg)))
-    }
-}
-
-impl Iterator for SliceRecords<'_> {
-    type Item = Result<TraceRecord, TraceError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.fused {
-            return None;
-        }
-        if self.emitted == self.count {
-            let trailing = self.bytes.len() - self.pos;
-            self.fused = true;
-            if trailing > 0 {
-                return Some(Err(TraceError::ParseBinary(format!(
-                    "{trailing} trailing bytes after final record"
-                ))));
-            }
-            return None;
-        }
-        let i = self.emitted;
-        if self.version == VERSION {
-            let Some(rec) = self.bytes.get(self.pos..self.pos + RECORD_LEN) else {
-                return self.fail(format!("truncated at record {i}"));
-            };
-            self.pos += RECORD_LEN;
-            let Some(kind) = AccessKind::from_din_label(rec[0]) else {
-                return self.fail(format!("bad kind {} at record {i}", rec[0]));
-            };
-            let mut addr_bytes = [0u8; 8];
-            addr_bytes.copy_from_slice(&rec[1..9]);
-            self.emitted += 1;
-            Some(Ok(TraceRecord::new(
-                kind,
-                Address::new(u64::from_le_bytes(addr_bytes)),
-            )))
-        } else {
-            match decode_token(self.bytes, self.pos) {
-                Token::Truncated(_) => self.fail(format!("truncated at record {i}")),
-                Token::Invalid(what) => self.fail(format!("{what} at record {i}")),
-                Token::Complete(label, zigzag, len) => {
-                    self.pos += len;
-                    let Some(kind) = AccessKind::from_din_label(label) else {
-                        return self.fail(format!("bad kind {label} at record {i}"));
-                    };
-                    let delta = zigzag_decode(zigzag);
-                    let slot = label as usize;
-                    let addr = self.last[slot].wrapping_add(delta as u64);
-                    self.last[slot] = addr;
-                    self.emitted += 1;
-                    Some(Ok(TraceRecord::new(kind, Address::new(addr))))
-                }
-            }
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        if self.fused {
-            return (0, Some(0));
-        }
-        let left = self.count - self.emitted;
-        // +1 for a possible trailing-bytes error item.
-        (0, Some(left + 1))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -427,11 +285,6 @@ mod tests {
                 write_binary(&mut buf, &recs).unwrap();
             }
             assert_eq!(read_binary_slice(&buf).unwrap(), recs);
-            let streamed: Vec<_> = SliceRecords::new(&buf)
-                .unwrap()
-                .collect::<Result<_, _>>()
-                .unwrap();
-            assert_eq!(streamed, recs);
         }
     }
 
@@ -440,7 +293,6 @@ mod tests {
         let mut buf = Vec::new();
         write_binary(&mut buf, &[]).unwrap();
         assert!(read_binary_slice(&buf).unwrap().is_empty());
-        assert_eq!(SliceRecords::new(&buf).unwrap().count(), 0);
     }
 
     #[test]
@@ -479,31 +331,35 @@ mod tests {
     }
 
     #[test]
-    fn streaming_iterator_reports_trailing_bytes() {
-        let mut buf = Vec::new();
-        write_binary(&mut buf, &sample()).unwrap();
-        buf.extend_from_slice(&[0xaa; 7]);
-        let items: Vec<_> = SliceRecords::new(&buf).unwrap().collect();
-        assert_eq!(items.len(), sample().len() + 1);
-        let err = items.last().unwrap().as_ref().unwrap_err();
-        assert!(err.to_string().contains("7 trailing bytes"), "{err}");
+    fn varint_rejects_continuation_past_ten_bytes() {
+        // A continued first byte, then 11 continued varint bytes.
+        let bytes = [0x80u8; 12];
+        match decode_token(&bytes, 0) {
+            Token::Invalid(what) => assert!(what.contains("10 bytes"), "{what}"),
+            _ => panic!("an 11-byte varint must be invalid"),
+        }
     }
 
     #[test]
-    fn streaming_iterator_fuses_after_error() {
-        let mut buf = Vec::new();
-        write_binary(&mut buf, &sample()).unwrap();
-        buf[HEADER_LEN] = 9;
-        let mut it = SliceRecords::new(&buf).unwrap();
-        assert!(it.next().unwrap().is_err());
-        assert!(it.next().is_none());
-        assert!(it.next().is_none());
-    }
+    fn varint_rejects_overflow_in_tenth_byte() {
+        // Nine continuation bytes then a final byte with more than the
+        // single bit a u64 has left: the high bits must not be silently
+        // discarded.
+        let mut bytes = [0x80u8; 11];
+        bytes[10] = 0x02;
+        match decode_token(&bytes, 0) {
+            Token::Invalid(what) => assert!(what.contains("overflows"), "{what}"),
+            _ => panic!("a 65-bit varint must be invalid"),
+        }
 
-    #[test]
-    fn declared_records_reports_header_count() {
-        let mut buf = Vec::new();
-        write_compressed(&mut buf, &sample()).unwrap();
-        assert_eq!(SliceRecords::new(&buf).unwrap().declared_records(), 3);
+        // The maximum canonical encoding still decodes: with all five
+        // first-byte zigzag bits set, the token carries u64::MAX.
+        let mut max = [0xffu8; 11];
+        max[0] = 0xfc;
+        max[10] = 0x01;
+        match decode_token(&max, 0) {
+            Token::Complete(0, zigzag, 11) => assert_eq!(zigzag, u64::MAX),
+            _ => panic!("the maximum canonical varint must decode"),
+        }
     }
 }
