@@ -5,14 +5,6 @@ set -eu
 
 cd "$(dirname "$0")"
 
-# The committed build is portable (see .cargo/config.toml). Host tuning
-# is opt-in: MLC_NATIVE=1 ./ci.sh builds and tests with the host ISA.
-if [ "${MLC_NATIVE:-0}" = "1" ]; then
-    echo "==> MLC_NATIVE=1: building with -C target-cpu=native"
-    RUSTFLAGS="${RUSTFLAGS:-} -C target-cpu=native"
-    export RUSTFLAGS
-fi
-
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
@@ -127,6 +119,12 @@ if ! cmp -s target/mlc-results/ci_manifest_a.stripped target/mlc-results/ci_mani
     exit 1
 fi
 grep -q '"digest": "fnv1a64:' target/mlc-results/ci_sweep.manifest.json
+# The one-pass walk names the ISA tier it ran on (picked at run time).
+if ! jq -e '.isa == "baseline" or .isa == "x86-64-v3" or .isa == "x86-64-v4"' \
+    target/mlc-results/ci_sweep.manifest.json > /dev/null; then
+    echo "ci.sh: sweep manifest does not name the walk's ISA tier" >&2
+    exit 1
+fi
 grep -q '_ms"' target/mlc-results/ci_sweep.manifest.json
 grep -q '"schema":"mlc-metrics/1"' target/mlc-results/ci_sweep.jsonl
 

@@ -11,7 +11,9 @@
 //! a copy plus the slice decoder, vs the slice API alone), the
 //! solo-miss stack pass (serial vs set-sharded), and the grid sweep —
 //! so stage-level regressions are visible even when the end-to-end
-//! number holds.
+//! number holds. Both reports name the instruction-set path the
+//! one-pass lane walk ran on (`isa`: `baseline`, `x86-64-v3` or
+//! `x86-64-v4`); the build is portable and picks the path at run time.
 //!
 //! Environment knobs:
 //!
@@ -32,6 +34,7 @@ use mlc_cache::ByteSize;
 use mlc_core::{size_ladder, verify_grids, DesignGrid, Explorer, SoloMissSweep, SweepEngine};
 use mlc_obs::json::JsonValue;
 use mlc_sim::machine::BaseMachine;
+use mlc_sim::TimingSweepSim;
 use mlc_trace::binary::{read_binary_with, write_compressed};
 use mlc_trace::slice::read_binary_slice_with;
 use mlc_trace::synth::{workload::Preset, MultiProgramGenerator};
@@ -114,6 +117,7 @@ fn main() {
                                                                   // functional pass amortizes over the deepest cycle ladder.
     let cycles: Vec<u64> = (1..=env_usize("MLC_SWEEP_CYCLES", 24) as u64).collect();
     let points = sizes.len() * cycles.len();
+    let isa = TimingSweepSim::isa_for_lanes(cycles.len());
 
     let trace = MultiProgramGenerator::new(Preset::Vms1.config(42))
         .expect("preset is valid")
@@ -122,7 +126,8 @@ fn main() {
     let base = BaseMachine::new();
 
     println!(
-        "sweep_engines: {} sizes x {} cycle times, {records} records, {samples} samples/engine\n",
+        "sweep_engines: {} sizes x {} cycle times, {records} records, {samples} samples/engine, \
+         one-pass walk on {isa}\n",
         sizes.len(),
         cycles.len()
     );
@@ -170,6 +175,7 @@ fn main() {
     let json = JsonValue::object([
         ("schema".into(), "mlc-bench/1".into()),
         ("bench".into(), "sweep_engines".into()),
+        ("isa".into(), isa.into()),
         ("records".into(), (records as u64).into()),
         ("warmup".into(), (warmup as u64).into()),
         (
@@ -272,6 +278,7 @@ fn main() {
     let ingest_json = JsonValue::object([
         ("schema".into(), "mlc-bench/1".into()),
         ("bench".into(), "ingest_stages".into()),
+        ("isa".into(), isa.into()),
         ("records".into(), (records as u64).into()),
         ("warmup".into(), (warmup as u64).into()),
         ("samples".into(), (samples as u64).into()),

@@ -13,7 +13,7 @@ use mlc_cli::machine_file;
 use mlc_cli::obs::{event_flags, obs_flags, EventSink, Observability};
 use mlc_core::{fmt_ratio, AttributionReport, Table};
 use mlc_obs::{digest_records_hex, RunManifest};
-use mlc_sim::{simulate_with_warmup_attributed, HierarchyConfig};
+use mlc_sim::{simulate_with_warmup_attributed, HierarchyConfig, HierarchySim};
 
 fn flags() -> Vec<Flag> {
     let mut flags = vec![
@@ -135,6 +135,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             &digest,
         );
     }
+    manifest.isa(HierarchySim::isa());
     manifest.param("warmup_frac", warmup_frac);
     manifest.param(
         "trace_faults",

@@ -22,7 +22,7 @@ use mlc_core::{
 use mlc_obs::json::JsonValue;
 use mlc_obs::{digest_records_hex, JournalHeader, JournalRow, JournalWriter, RunManifest};
 use mlc_sim::machine::BaseMachine;
-use mlc_sim::HierarchyConfig;
+use mlc_sim::{HierarchyConfig, HierarchySim, TimingSweepSim};
 
 fn flags() -> Vec<Flag> {
     let mut flags = vec![
@@ -345,6 +345,10 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
     manifest.engine(&engine.to_string());
+    manifest.isa(match engine {
+        SweepEngine::Exhaustive => HierarchySim::isa(),
+        SweepEngine::OnePass => TimingSweepSim::isa_for_lanes(cycles.len()),
+    });
     manifest.param("l1_bytes", l1.get());
     manifest.param(
         "l2_sizes",

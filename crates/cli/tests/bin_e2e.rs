@@ -222,6 +222,14 @@ fn strip_timings(manifest: &str) -> Vec<String> {
         .collect()
 }
 
+/// Whether `manifest` names one of the timing walk's instruction-set
+/// paths.
+fn names_an_isa(manifest: &str) -> bool {
+    ["baseline", "x86-64-v3", "x86-64-v4"]
+        .iter()
+        .any(|isa| manifest.contains(&format!("\"isa\": \"{isa}\"")))
+}
+
 #[test]
 fn sweep_manifest_is_reproducible_and_metrics_are_structured() {
     let trace = tmp("obs_sweep.din");
@@ -289,6 +297,7 @@ fn sweep_manifest_is_reproducible_and_metrics_are_structured() {
             "manifest missing {needle}:\n{first}"
         );
     }
+    assert!(names_an_isa(&first), "manifest missing isa:\n{first}");
 
     let jsonl = std::fs::read_to_string(&metrics_path).unwrap();
     assert!(
@@ -348,6 +357,7 @@ fn run_manifest_captures_resolved_machine() {
     ] {
         assert!(manifest.contains(needle), "missing {needle}:\n{manifest}");
     }
+    assert!(names_an_isa(&manifest), "missing isa:\n{manifest}");
 }
 
 #[test]

@@ -3,9 +3,10 @@
 //!
 //! A manifest answers "exactly what produced this output?": tool and
 //! version, the full command line, the trace (path, record count,
-//! warm-up split, content digest), the engine, every resolved
-//! parameter, and per-phase wall-clock timings. Everything except the
-//! `timings` section is a pure function of the inputs, and every timing
+//! warm-up split, content digest), the engine and the instruction-set
+//! path it ran on, every resolved parameter, and per-phase wall-clock
+//! timings. Everything except the `timings` section is a pure function
+//! of the inputs and the host CPU (`isa` is the CPU's), and every timing
 //! key ends in `_ms` — so CI verifies provenance determinism by running
 //! a tool twice and diffing the manifests with `_ms` lines stripped.
 
@@ -29,6 +30,7 @@ pub const MANIFEST_SCHEMA: &str = "mlc-manifest/1";
 /// m.command(["--trace".into(), "t.din".into()]);
 /// m.trace("t.din", 60_000, 15_000, "fnv1a64:0011223344556677");
 /// m.engine("onepass");
+/// m.isa("x86-64-v3");
 /// m.param("l2_ways", 1u64);
 /// let json = m.to_json();
 /// assert!(json.contains("\"schema\": \"mlc-manifest/1\""));
@@ -41,6 +43,7 @@ pub struct RunManifest {
     command: Vec<String>,
     trace: Option<(String, u64, u64, String)>,
     engine: Option<String>,
+    isa: Option<String>,
     params: Vec<(String, JsonValue)>,
     timings: Vec<(String, f64)>,
 }
@@ -55,6 +58,7 @@ impl RunManifest {
             command: Vec::new(),
             trace: None,
             engine: None,
+            isa: None,
             params: Vec::new(),
             timings: Vec::new(),
         }
@@ -86,6 +90,13 @@ impl RunManifest {
     /// Records the engine choice (e.g. `"onepass"`).
     pub fn engine(&mut self, name: &str) {
         self.engine = Some(name.to_owned());
+    }
+
+    /// Records the instruction-set path the simulator's timing walk ran
+    /// on (e.g. `"x86-64-v4"`). Results are bit-identical on every path,
+    /// so this is provenance for timings, not part of a result's identity.
+    pub fn isa(&mut self, name: &str) {
+        self.isa = Some(name.to_owned());
     }
 
     /// Appends one resolved parameter; insertion order is preserved in
@@ -129,6 +140,9 @@ impl RunManifest {
         }
         if let Some(engine) = &self.engine {
             fields.push(("engine".into(), engine.as_str().into()));
+        }
+        if let Some(isa) = &self.isa {
+            fields.push(("isa".into(), isa.as_str().into()));
         }
         fields.push((
             "params".into(),
@@ -174,6 +188,7 @@ mod tests {
         m.command(["--trace".into(), "t.din".into()]);
         m.trace("t.din", 100, 25, "fnv1a64:00000000000000ff");
         m.engine("onepass");
+        m.isa("baseline");
         m.param("ways", 2u64);
         m.param("sizes", JsonValue::Array(vec!["16K".into(), "32K".into()]));
         m
@@ -191,6 +206,7 @@ mod tests {
             "\"warmup_records\": 25",
             "\"digest\": \"fnv1a64:00000000000000ff\"",
             "\"engine\": \"onepass\"",
+            "\"isa\": \"baseline\"",
             "\"ways\": 2",
             "\"sizes\": [\"16K\", \"32K\"]",
         ] {

@@ -7,7 +7,7 @@ use mlc_trace::TraceRecord;
 
 use crate::clock::Clock;
 use crate::config::{HierarchyConfig, SimConfigError};
-use crate::engine::Engine;
+use crate::engine::{Engine, Tier};
 use crate::ledger::{Attribution, CycleLedger, SimHistograms};
 use crate::metrics::SimResult;
 
@@ -47,6 +47,13 @@ impl HierarchySim {
         let attribution = Attribution::new(config.levels.len());
         let engine = Engine::new(std::slice::from_ref(&config), attribution)?;
         Ok(HierarchySim { engine })
+    }
+
+    /// The instruction-set path the scalar simulator's timing walk runs
+    /// on (and [`simulate`] and [`simulate_with_warmup`] with it); see
+    /// [`TimingSweepSim::isa`](crate::TimingSweepSim::isa).
+    pub fn isa() -> &'static str {
+        Tier::for_width(1).name()
     }
 
     /// The simulator's CPU clock.

@@ -50,6 +50,8 @@ pub mod ledger;
 pub mod machine;
 pub mod metrics;
 pub mod observe;
+#[cfg(test)]
+mod random_cases;
 pub mod solo;
 pub mod sweep;
 

@@ -1,7 +1,9 @@
 //! The acceptance gate of the one-pass sweep engine: on the paper's base
 //! machine, `Explorer::l2_grid` under the one-pass engine must reproduce
 //! the exhaustive engine cycle-exact — same total-execution-cycle matrix,
-//! bit-identical miss ratios — on a 4-size × 4-cycle-time grid.
+//! bit-identical miss ratios — on a 4-size × 4-cycle-time grid, and on
+//! grids as wide as the lane widths the repo benchmark runs (W24 and W6),
+//! which take the CPU's widest ISA tier where it has one.
 
 use mlc::cache::ByteSize;
 use mlc::core::{size_ladder, verify_grids, Explorer, SweepEngine};
@@ -33,6 +35,47 @@ fn l2_grid_onepass_matches_exhaustive_on_base_machine() {
     // must give the exact same grid.
     let default = explorer.l2_grid(&base, &sizes, &cycles, 1);
     assert_eq!(default, onepass);
+}
+
+/// One-pass vs exhaustive on the paper's base machine at `ways`-way L2
+/// over `sizes` × `cycles`.
+fn assert_engines_agree(records: &[TraceRecord], ways: u32, sizes: &[ByteSize], cycles: &[u64]) {
+    let explorer = Explorer::new(records, records.len() / 4);
+    let base = BaseMachine::new();
+    let exhaustive = explorer.l2_grid_with(SweepEngine::Exhaustive, &base, sizes, cycles, ways);
+    let onepass = explorer.l2_grid_with(SweepEngine::OnePass, &base, sizes, cycles, ways);
+    verify_grids(&exhaustive, &onepass).unwrap_or_else(|d| {
+        panic!(
+            "one-pass engine diverged on a {}x{} {ways}-way grid: {d}",
+            sizes.len(),
+            cycles.len()
+        )
+    });
+}
+
+/// 24 cycle times: one full-width (W24) lane pass per size.
+#[test]
+fn full_width_grid_matches_exhaustive() {
+    let records = trace(Preset::Vms1, 42, 60_000);
+    let cycles: Vec<u64> = (1..=24).collect();
+    assert_engines_agree(
+        &records,
+        1,
+        &[ByteSize::kib(64), ByteSize::kib(256)],
+        &cycles,
+    );
+}
+
+/// 6 cycle times at a 4-way L2: the benchmark's narrow (W6) pass.
+#[test]
+fn narrow_associative_grid_matches_exhaustive() {
+    let records = trace(Preset::Mips1, 11, 60_000);
+    assert_engines_agree(
+        &records,
+        4,
+        &[ByteSize::kib(32), ByteSize::kib(128)],
+        &[1, 2, 3, 5, 8, 12],
+    );
 }
 
 #[test]
