@@ -58,6 +58,13 @@ echo "==> per-stage perf smoke (ratios asserted, absolutes warn-only)"
 ingest_smoke=target/mlc-results/BENCH_ingest_smoke.json
 jq -e '.schema == "mlc-bench/1" and .bench == "ingest_stages"' \
     "$ingest_smoke" > /dev/null
+# The single-trace analysis layers are reported (timed, never gated).
+if ! jq -e '[.stages.analysis | .stackdist, .three_c, .wcet]
+        | all(.wall_s > 0)' "$ingest_smoke" > /dev/null; then
+    echo "ci.sh: ingest report lacks the stages.analysis timings" >&2
+    jq '.stages.analysis' "$ingest_smoke" >&2
+    exit 1
+fi
 # Engine-structure ratios are machine-independent enough to gate on:
 # the one-pass engine amortizes the functional pass over the whole
 # cycle ladder and must stay well clear of 2x the exhaustive engine.

@@ -9,9 +9,10 @@
 //! tracked run over run. A second report, `BENCH_ingest.json`, breaks
 //! the pipeline into stages — binary trace ingestion (the `Read` API,
 //! a copy plus the slice decoder, vs the slice API alone), the
-//! solo-miss stack pass (serial vs set-sharded), and the grid sweep —
-//! so stage-level regressions are visible even when the end-to-end
-//! number holds. Both reports name the instruction-set path the
+//! solo-miss stack pass (serial vs set-sharded), the grid sweep, and
+//! the single-trace analyses `mlc-analyze` runs (stack distances, the
+//! 3C breakdown, the guaranteed bounds) — so stage-level regressions
+//! are visible even when the end-to-end number holds. Both reports name the instruction-set path the
 //! one-pass lane walk ran on (`isa`: `baseline`, `x86-64-v3` or
 //! `x86-64-v4`); the build is portable and picks the path at run time.
 //!
@@ -30,13 +31,16 @@
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use mlc_cache::ByteSize;
-use mlc_core::{size_ladder, verify_grids, DesignGrid, Explorer, SoloMissSweep, SweepEngine};
+use mlc_cache::{ByteSize, CacheConfig};
+use mlc_core::{
+    classify_misses, size_ladder, verify_grids, DesignGrid, Explorer, SoloMissSweep, SweepEngine,
+};
 use mlc_obs::json::JsonValue;
-use mlc_sim::machine::BaseMachine;
+use mlc_sim::machine::{base_machine, BaseMachine};
 use mlc_sim::TimingSweepSim;
 use mlc_trace::binary::{read_binary_with, write_compressed};
 use mlc_trace::slice::read_binary_slice_with;
+use mlc_trace::stackdist::lru_stack_distances;
 use mlc_trace::synth::{workload::Preset, MultiProgramGenerator};
 use mlc_trace::FaultPolicy;
 
@@ -201,8 +205,8 @@ fn main() {
     // ------------------------------------------------------------------
     // Per-stage throughput: how fast each stage of the pipeline moves
     // records on this workload — ingestion (the `Read` API vs the slice
-    // API), the Mattson stack pass (serial vs set-sharded),
-    // and the grid sweep from above.
+    // API), the Mattson stack pass (serial vs set-sharded), the grid
+    // sweep from above, and the single-trace analyses.
     // ------------------------------------------------------------------
     println!("\nper-stage throughput ({records} records):");
     let stage_rps = |t: Duration, n: usize| n as f64 / t.as_secs_f64();
@@ -252,6 +256,40 @@ fn main() {
         "stack   serial{:>10.2} Mrec/s   shard {:>10.2} Mrec/s   speedup {stack_speedup:.2}x ({shards} shards)",
         stage_rps(t_stack_serial, records) / 1e6,
         stage_rps(t_stack_sharded, records) / 1e6,
+    );
+
+    // Analysis: the single-trace layers of `mlc-analyze` — the
+    // stack-distance histogram, the 3C breakdown over the 4K–512K
+    // direct-mapped ladder (a functional and a fully associative
+    // simulation per size), and the guaranteed bounds on the base
+    // machine. Each `records_per_s` is trace records per second.
+    let three_c_configs: Vec<CacheConfig> = size_ladder(ByteSize::kib(4), ByteSize::kib(512))
+        .into_iter()
+        .map(|size| {
+            CacheConfig::builder()
+                .total(size)
+                .block_bytes(32)
+                .build()
+                .expect("power-of-two direct-mapped cache")
+        })
+        .collect();
+    let t_stackdist = time_stage(samples, || lru_stack_distances(trace.iter().copied(), 32));
+    let t_three_c = time_stage(samples, || {
+        three_c_configs
+            .iter()
+            .map(|&config| classify_misses(config, &trace))
+            .collect::<Vec<_>>()
+    });
+    let machine = base_machine();
+    let t_wcet = time_stage(samples, || {
+        mlc_wcet::analyze(&machine, &trace).expect("the base machine is analysable")
+    });
+    println!(
+        "analysis stackdist {:>8.2} Mrec/s   3C x{} {:>8.2} Mrec/s   wcet {:>8.2} Mrec/s",
+        stage_rps(t_stackdist, records) / 1e6,
+        three_c_configs.len(),
+        stage_rps(t_three_c, records) / 1e6,
+        stage_rps(t_wcet, records) / 1e6,
     );
 
     let stage = |a: &str, ta: Duration, na: usize, b: &str, tb: Duration, nb: usize| {
@@ -307,6 +345,14 @@ fn main() {
                         t_op,
                         points * records,
                     ),
+                ),
+                (
+                    "analysis".into(),
+                    JsonValue::object([
+                        ("stackdist".into(), stage_entry(t_stackdist, records)),
+                        ("three_c".into(), stage_entry(t_three_c, records)),
+                        ("wcet".into(), stage_entry(t_wcet, records)),
+                    ]),
                 ),
             ]),
         ),

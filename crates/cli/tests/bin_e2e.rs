@@ -84,14 +84,28 @@ fn gen_run_sweep_analyze_pipeline() {
     let csv_text = std::fs::read_to_string(&csv).unwrap();
     assert!(csv_text.lines().count() >= 4, "{csv_text}");
 
-    // 5. Analyze the trace.
+    // 5. Analyze the trace; the 3C classification and the curve are
+    //    timed as separate phases.
+    let metrics = tmp("analyze_metrics.jsonl");
     let (ok, stdout, stderr) = run(
         env!("CARGO_BIN_EXE_mlc-analyze"),
-        &["--trace", trace_str, "--sizes", "4K:64K"],
+        &[
+            "--trace",
+            trace_str,
+            "--sizes",
+            "4K:64K",
+            "--metrics-out",
+            metrics.to_str().unwrap(),
+        ],
     );
     assert!(ok, "mlc-analyze failed: {stderr}");
     assert!(stdout.contains("FA-LRU"), "{stdout}");
     assert!(stdout.contains("per size doubling"), "{stdout}");
+    let jsonl = std::fs::read_to_string(&metrics).unwrap();
+    for phase in ["three_c", "curve"] {
+        let line = format!(r#""event":"phase","name":"{phase}","calls":1"#);
+        assert!(jsonl.contains(&line), "no {phase} phase in {jsonl}");
+    }
 }
 
 #[test]

@@ -6,12 +6,14 @@
 //! associativity helps where it does: conflict misses — the only
 //! component associativity can remove — are computed as the difference
 //! between a real cache's misses and those of a fully associative LRU
-//! cache of equal capacity (from one-pass stack-distance analysis);
-//! capacity misses are the fully associative misses beyond the
-//! compulsory (first-touch) ones.
+//! cache of equal capacity; capacity misses are the fully associative
+//! misses beyond the compulsory (first-touch) ones. The fully
+//! associative count comes from [`fully_associative_misses`], an
+//! O(1)-per-reference LRU simulation at the cache's capacity; by the
+//! inclusion property it is the stack-distance histogram's point there.
 
 use mlc_cache::{Cache, CacheConfig};
-use mlc_trace::stackdist::lru_stack_distances;
+use mlc_trace::stackdist::fully_associative_misses;
 use mlc_trace::TraceRecord;
 
 /// A trace's misses for one cache organisation, split into the three Cs.
@@ -55,8 +57,9 @@ impl MissComponents {
 }
 
 /// Classifies the misses `config` suffers on `records` into the three
-/// Cs. Two passes over the trace: one functional cache simulation and
-/// one stack-distance analysis at the cache's block size.
+/// Cs. Two passes over the trace: one functional simulation of
+/// `config` and one of a fully associative LRU cache of the same
+/// capacity and block size.
 ///
 /// # Panics
 ///
@@ -70,9 +73,8 @@ pub fn classify_misses(config: CacheConfig, records: &[TraceRecord]) -> MissComp
     let total_misses = cache.stats().total_misses();
 
     let geom = config.geometry();
-    let hist = lru_stack_distances(records.iter().copied(), geom.block_bytes());
-    let fa_misses = hist.misses_at(geom.blocks());
-    let compulsory = hist.cold_misses();
+    let (fa_misses, compulsory) =
+        fully_associative_misses(records.iter().copied(), geom.block_bytes(), geom.blocks());
     let capacity = fa_misses - compulsory;
     let conflict = total_misses.saturating_sub(fa_misses);
     MissComponents {

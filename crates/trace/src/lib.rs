@@ -14,7 +14,9 @@
 //!   argument).
 //! * [`TraceStats`] — descriptive statistics for validating workloads.
 //! * [`stackdist`] — one-pass Mattson LRU stack-distance analysis, giving
-//!   the whole miss-ratio-versus-size curve of a trace at once.
+//!   the whole miss-ratio-versus-size curve of a trace at once, and an
+//!   O(1)-per-reference fully associative LRU miss counter for one size.
+//! * [`hash`] — the block-index hasher those analyses share.
 //! * [`fault`] — degraded-mode ingestion ([`FaultPolicy`], quarantine
 //!   sidecars, [`IngestReport`]) and a fault-injecting [`Read`](std::io::Read)
 //!   adapter ([`FaultInjector`]) for adversarial reader tests.
@@ -54,6 +56,7 @@ pub mod binary;
 pub mod din;
 mod error;
 pub mod fault;
+pub mod hash;
 mod record;
 pub mod slice;
 pub mod stackdist;

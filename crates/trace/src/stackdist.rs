@@ -9,13 +9,20 @@
 //! Figure 3, and an independent check of this repository's synthetic
 //! workload calibration.
 //!
-//! The implementation is the standard O(N log N) algorithm: a Fenwick
-//! tree over reference timestamps holds a 1 at the *most recent*
-//! reference time of every live block, so a block's stack distance is a
-//! prefix-sum query between its previous reference and now.
+//! [`lru_stack_distances`] is the standard O(N log N) algorithm: a
+//! Fenwick tree over reference timestamps holds a 1 at the *most
+//! recent* reference time of every live block, so a block's stack
+//! distance is the number of live blocks minus a prefix sum up to its
+//! previous reference.
+//!
+//! When only one capacity is wanted, [`fully_associative_misses`]
+//! simulates that one fully associative LRU cache in O(1) per reference
+//! instead. By the inclusion property its count is the histogram's own
+//! [`misses_at`](StackDistanceHistogram::misses_at) point.
 
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
 
+use crate::hash::BlockMap;
 use crate::record::TraceRecord;
 
 /// A growable Fenwick (binary indexed) tree over 0/1 values.
@@ -216,7 +223,7 @@ where
         block_bytes.is_power_of_two(),
         "block_bytes must be a power of two, got {block_bytes}"
     );
-    let mut last_ref: HashMap<u64, usize> = HashMap::new();
+    let mut last_ref: BlockMap<usize> = BlockMap::default();
     let mut fenwick = Fenwick::new(1024);
     let mut counts: Vec<u64> = Vec::new();
     let mut cold = 0u64;
@@ -233,8 +240,10 @@ where
             None => cold += 1,
             Some(prev) => {
                 // Distinct blocks touched strictly after `prev`: each has
-                // exactly one live timestamp in (prev, now).
-                let depth = (fenwick.prefix_sum(now - 1) - fenwick.prefix_sum(prev)) as usize;
+                // exactly one live timestamp in (prev, now). Every live
+                // block has one below `now`, so the count up to `now - 1`
+                // is the number of distinct blocks, `last_ref.len()`.
+                let depth = last_ref.len() - fenwick.prefix_sum(prev) as usize;
                 if counts.len() <= depth {
                     counts.resize(depth + 1, 0);
                 }
@@ -250,6 +259,111 @@ where
         total,
         block_bytes,
     }
+}
+
+/// Simulates one fully associative LRU cache of `capacity_blocks`
+/// blocks over `records` at the given (power-of-two) block granularity
+/// and returns `(misses, cold)`: its miss count and the first-touch
+/// misses among them.
+///
+/// The result equals the [`lru_stack_distances`] histogram's
+/// `(misses_at(capacity_blocks), cold_misses())` for the same trace
+/// (Mattson inclusion), at O(1) per reference: each block is interned
+/// to a dense id with one hash lookup, and the resident blocks form a
+/// doubly linked recency list threaded through `Vec<u32>` links.
+///
+/// # Panics
+///
+/// Panics if `block_bytes` is zero or not a power of two, or if the
+/// trace touches `u32::MAX` or more distinct blocks.
+///
+/// # Examples
+///
+/// ```
+/// use mlc_trace::stackdist::fully_associative_misses;
+/// use mlc_trace::TraceRecord;
+///
+/// // a, b, a: a 1-block cache misses all three, a 2-block cache hits
+/// // the reuse.
+/// let trace = [0x00, 0x40, 0x00].map(TraceRecord::read);
+/// assert_eq!(fully_associative_misses(trace, 16, 1), (3, 2));
+/// assert_eq!(fully_associative_misses(trace, 16, 2), (2, 2));
+/// ```
+pub fn fully_associative_misses<I>(records: I, block_bytes: u64, capacity_blocks: u64) -> (u64, u64)
+where
+    I: IntoIterator<Item = TraceRecord>,
+{
+    assert!(
+        block_bytes.is_power_of_two(),
+        "block_bytes must be a power of two, got {block_bytes}"
+    );
+    const NIL: u32 = u32::MAX;
+    let mut ids: BlockMap<u32> = BlockMap::default();
+    // Per block id: its neighbours towards the MRU (`prev`) and LRU
+    // (`next`) ends, and whether it is resident.
+    let mut prev: Vec<u32> = Vec::new();
+    let mut next: Vec<u32> = Vec::new();
+    let mut resident: Vec<bool> = Vec::new();
+    let (mut head, mut tail) = (NIL, NIL);
+    let mut len = 0u64;
+    let (mut misses, mut cold) = (0u64, 0u64);
+
+    for rec in records {
+        let id = match ids.entry(rec.addr.block_index(block_bytes)) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(e) => {
+                let id = u32::try_from(resident.len())
+                    .ok()
+                    .filter(|&id| id != NIL)
+                    .expect("fewer than u32::MAX distinct blocks");
+                cold += 1;
+                prev.push(NIL);
+                next.push(NIL);
+                resident.push(false);
+                *e.insert(id)
+            }
+        };
+        let i = id as usize;
+        if resident[i] {
+            if head == id {
+                continue;
+            }
+            // Unlink; `id` is not the head, so it has a predecessor.
+            let (p, n) = (prev[i], next[i]);
+            next[p as usize] = n;
+            if n == NIL {
+                tail = p;
+            } else {
+                prev[n as usize] = p;
+            }
+        } else {
+            misses += 1;
+            resident[i] = true;
+            len += 1;
+        }
+        // Push to the MRU end.
+        prev[i] = NIL;
+        next[i] = head;
+        if head == NIL {
+            tail = id;
+        } else {
+            prev[head as usize] = id;
+        }
+        head = id;
+        if len > capacity_blocks {
+            // Evict the LRU block.
+            let t = tail as usize;
+            resident[t] = false;
+            len -= 1;
+            tail = prev[t];
+            if tail == NIL {
+                head = NIL;
+            } else {
+                next[tail as usize] = NIL;
+            }
+        }
+    }
+    (misses, cold)
 }
 
 /// One-pass *all-associativity* analysis at a fixed set count: per-set
@@ -393,7 +507,29 @@ mod tests {
                 misses,
                 "divergence at capacity {capacity}"
             );
+            assert_eq!(
+                fully_associative_misses(trace.iter().copied(), 64, capacity),
+                (misses, h.cold_misses()),
+                "counter diverges at capacity {capacity}"
+            );
         }
+    }
+
+    #[test]
+    fn counter_matches_histogram_at_every_capacity() {
+        // Includes capacity 0 (every reference misses) and capacities at
+        // and beyond the footprint (only cold misses remain).
+        let blocks: Vec<u64> = (0..3000u64).map(|i| (i * i + 3 * i) % 211).collect();
+        let trace = reads(&blocks);
+        let h = lru_stack_distances(trace.iter().copied(), 64);
+        for capacity in 0..=260u64 {
+            assert_eq!(
+                fully_associative_misses(trace.iter().copied(), 64, capacity),
+                (h.misses_at(capacity), h.cold_misses()),
+                "capacity {capacity}"
+            );
+        }
+        assert_eq!(fully_associative_misses(Vec::new(), 64, 4), (0, 0));
     }
 
     #[test]

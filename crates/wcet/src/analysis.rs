@@ -21,9 +21,8 @@
 //!   trivial case (a set whose whole footprint fits its ways) without
 //!   any fixpoint at all.
 
-use std::collections::{BTreeMap, BTreeSet};
-
 use mlc_core::SetFootprint;
+use mlc_trace::hash::{BlockMap, BlockSet};
 
 use crate::domain::{AbstractCache, DomainKind};
 
@@ -68,13 +67,13 @@ pub fn classify_unit(
     ways: u32,
     accesses: &[UnitAccess],
     allow_must: bool,
-    am_blocked: Option<&BTreeSet<u64>>,
+    am_blocked: Option<&BlockSet>,
 ) -> Vec<Chmc> {
     // --- May fixpoint: entry ← entry ⊔ transfer(entry), from cold. ---
     let may_entry = fixpoint(DomainKind::May, sets, ways, accesses);
 
     // --- Persistence fixpoint + per-block persistence judgement. ---
-    let mut persistent: BTreeMap<u64, bool> = BTreeMap::new();
+    let mut persistent: BlockMap<bool> = BlockMap::default();
     if allow_must {
         // Trivial seed: a set whose distinct-block footprint fits its
         // ways can never evict, so every block there is persistent.
@@ -135,20 +134,19 @@ fn step(cache: &mut AbstractCache, a: &UnitAccess) {
 }
 
 /// Iterates `entry ← entry ⊔ transfer(entry)` from the cold state until
-/// stable and returns the entry fixpoint.
+/// stable and returns the entry fixpoint. The exit state's buffers are
+/// reused from round to round.
 fn fixpoint(kind: DomainKind, sets: u64, ways: u32, accesses: &[UnitAccess]) -> AbstractCache {
     let mut entry = AbstractCache::new(kind, sets, ways);
+    let mut exit = entry.clone();
     loop {
-        let mut exit = entry.clone();
+        exit.clone_from(&entry);
         for a in accesses {
             step(&mut exit, a);
         }
-        let mut joined = entry.clone();
-        joined.join(&exit);
-        if joined == entry {
+        if !entry.join_changed(&exit) {
             return entry;
         }
-        entry = joined;
     }
 }
 
@@ -265,7 +263,7 @@ mod tests {
     #[test]
     fn am_blocked_suppresses_always_miss_for_written_blocks() {
         let accesses = seq(&[0, 1, 0, 1]);
-        let blocked: BTreeSet<u64> = [0u64].into_iter().collect();
+        let blocked: BlockSet = [0u64].into_iter().collect();
         let chmc = classify_unit(1, 1, &accesses, true, Some(&blocked));
         // Block 0 may be refreshed by write traffic: not always-miss.
         assert_eq!(chmc[0], Chmc::NotClassified);

@@ -19,11 +19,10 @@
 //! Both directions stay sound; the bounds just widen — which is what
 //! rule MLC017 warns about.
 
-use std::collections::BTreeSet;
-
 use mlc_cache::{AllocPolicy, CacheConfig, Prefetch, Replacement};
 use mlc_core::memory_read_cycles;
 use mlc_sim::{HierarchyConfig, LevelCacheConfig};
+use mlc_trace::hash::BlockSet;
 use mlc_trace::{AccessKind, TraceRecord};
 
 use crate::analysis::{classify_unit, Chmc, UnitAccess};
@@ -176,8 +175,8 @@ pub fn analyze(
             // write-allocate traffic below L1 can insert blocks the CAC
             // says never arrive as reads.
             let mut accesses = Vec::new();
-            let mut touched = BTreeSet::new();
-            let mut written = BTreeSet::new();
+            let mut touched = BlockSet::default();
+            let mut written = BlockSet::default();
             let mut first_touch = vec![false; records.len()];
             for (p, r) in records.iter().enumerate() {
                 if !routes_to(name, r.kind) {
@@ -206,7 +205,7 @@ pub fn analyze(
             // arrive; lower bound over reads that *definitely* miss at
             // every level so far. A first-miss contributes to hi only at
             // the block's first FM position.
-            let mut fm_counted = BTreeSet::new();
+            let mut fm_counted = BlockSet::default();
             let mut is_am = vec![false; records.len()];
             for (a, &c) in accesses.iter().zip(&chmc) {
                 let p = a.pos;

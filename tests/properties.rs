@@ -252,7 +252,7 @@ fn samples_are_reproducible() {
 #[test]
 fn stack_distances_match_naive_lru() {
     check(48, |rng| {
-        use mlc::trace::stackdist::lru_stack_distances;
+        use mlc::trace::stackdist::{fully_associative_misses, lru_stack_distances};
         let blocks: Vec<u64> = (0..range(rng, 1, 500))
             .map(|_| rng.next_below(64))
             .collect();
@@ -272,6 +272,10 @@ fn stack_distances_match_naive_lru() {
         }
         assert_eq!(hist.misses_at(capacity), misses);
         assert_eq!(hist.total(), blocks.len() as u64);
+        assert_eq!(
+            fully_associative_misses(trace.iter().copied(), 32, capacity),
+            (misses, hist.cold_misses())
+        );
     });
 }
 
