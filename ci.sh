@@ -372,12 +372,34 @@ if ! cmp -s "$serve_dir/sweep_direct.csv" "$serve_dir/cached.csv"; then
     echo "ci.sh: cached daemon grid differs from mlc-sweep" >&2
     exit 1
 fi
+# The same records stored as .mlcz are the same trace: same key, and
+# the memory tier answers.
+./target/release/mlc-gen --preset mips1 --records 50000 --seed 7 \
+    --out "$serve_dir/ci_sweep_trace.mlcz" > /dev/null
+./target/release/mlc-client --socket "$serve_sock" submit \
+    --trace "$(pwd)/$serve_dir/ci_sweep_trace.mlcz" $serve_args \
+    --out "$serve_dir/cached_mlcz.csv" > "$serve_dir/submit3.txt"
+if ! grep -q "^key=$serve_key\$" "$serve_dir/submit3.txt" \
+    || ! grep -q '^source=memory$' "$serve_dir/submit3.txt"; then
+    echo "ci.sh: the .mlcz copy of the trace did not hit the same key in memory" >&2
+    cat "$serve_dir/submit3.txt" >&2
+    exit 1
+fi
 ./target/release/mlc-client --socket "$serve_sock" stats --format json \
     > "$serve_dir/stats.json"
 if ! jq -e '(.counters.jobs_recovered == 1) and (.counters.jobs_computed == 1)' \
     "$serve_dir/stats.json" > /dev/null; then
     echo "ci.sh: daemon stats disagree with the recovery story" >&2
     cat "$serve_dir/stats.json" >&2
+    exit 1
+fi
+# The repeat submission was identified from the trace index, and no
+# trace needed the fallback loader.
+if ! jq -e '(.counters.trace_index_hits >= 1)
+        and (.counters.trace_loader_fallbacks == 0)' \
+    "$serve_dir/stats.json" > /dev/null; then
+    echo "ci.sh: the trace index did not answer the repeat submission" >&2
+    jq '.counters' "$serve_dir/stats.json" >&2
     exit 1
 fi
 # ping is thin liveness now: proto/version/uptime and nothing else.

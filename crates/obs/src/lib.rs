@@ -28,7 +28,8 @@
 //!   [`write_events_jsonl`] and as Perfetto-loadable Chrome trace-event
 //!   JSON via [`write_chrome_trace`].
 //! * [`digest_records`] / [`digest_records_hex`] — an FNV-1a 64 content
-//!   digest over trace records, the provenance anchor of a manifest.
+//!   digest over trace records, the provenance anchor of a manifest;
+//!   [`Xxh64`] a fast streaming hash over raw bytes.
 //! * [`span`] — request-lifecycle trace context for the serving layer:
 //!   process-unique trace ids ([`mint_trace_id`]), the server span
 //!   taxonomy ([`Stage`]), and Perfetto export of recorded spans
@@ -70,7 +71,7 @@ mod metrics;
 mod progress;
 pub mod span;
 
-pub use digest::{digest_records, digest_records_hex, Fnv64};
+pub use digest::{digest_records, digest_records_hex, Fnv64, Xxh64};
 pub use events::{
     write_chrome_trace, write_events_jsonl, EventKind, EventTracer, SimEvent, DEFAULT_EVENT_CAP,
 };

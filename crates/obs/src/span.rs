@@ -39,7 +39,8 @@ pub enum Stage {
     Parse,
     /// Admission control: request validation and the job-slot check.
     Admission,
-    /// Content addressing: trace load, digest, and key derivation.
+    /// Content addressing: identifying the trace (a hash of its file
+    /// bytes, or a load and digest) and deriving the key.
     Key,
     /// Memory-tier cache probe.
     MemLookup,

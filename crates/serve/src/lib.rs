@@ -9,7 +9,9 @@
 //!   and answers repeat queries from a **content-addressed result
 //!   cache** — the key ([`job_key`]) digests the trace content and
 //!   every resolved parameter, so a hit is *provably* the same
-//!   computation, bit-for-bit.
+//!   computation, bit-for-bit. A trace already seen is recognised from
+//!   a hash of its file bytes through an exact in-process index, so a
+//!   hit costs no decode.
 //! * The cache is **two-tier** in the sccache mold ([`ResultCache`]): a
 //!   bounded in-memory LRU over an on-disk store ([`DiskStore`]) whose
 //!   artifacts are the crash-consistent `mlc-journal/1` files the
@@ -41,6 +43,7 @@
 
 pub mod cache;
 pub mod chaos;
+mod ingest;
 pub mod key;
 #[cfg(unix)]
 pub mod net;

@@ -2,7 +2,13 @@
 //! compute workers, and crash recovery.
 //!
 //! A submission resolves to a content-addressed key
-//! ([`crate::key::job_key`]) and is answered by the first of:
+//! ([`crate::key::job_key`]). The key names the trace by its record
+//! digest and record count. Ingest finds both without decoding when it
+//! has seen the file's bytes before: it streams the file through XXH64
+//! and looks the content up in an exact in-process trace index
+//! (`ingest.rs`). Only a new content is decoded, strictly, and only a
+//! file that fails to read or to decode strictly reaches the injected
+//! [`TraceLoader`]. The submission is then answered by the first of:
 //!
 //! 1. the two-tier result cache (memory, then disk — hit at any level
 //!    returns immediately);
@@ -11,13 +17,18 @@
 //!    second simulation);
 //! 3. a fresh worker, which journals every completed grid row
 //!    crash-consistently and commits the finished journal into the
-//!    cache with one atomic rename.
+//!    cache with one atomic rename. The records it simulates are
+//!    decoded from one whole read of the file, and a job runs only
+//!    under the key of exactly those bytes: if the file changed after
+//!    it was identified, the submission is keyed again from the new
+//!    bytes.
 //!
 //! On startup, [`Server::recover`] scans the spool for journals an
 //! earlier process left behind (a crash, a `kill -9`) and resumes them:
 //! committed rows are replayed from the journal, only the missing rows
 //! are simulated — the daemon-side equivalent of
-//! `mlc-sweep --journal … --resume`.
+//! `mlc-sweep --journal … --resume`. Recovery reads traces through the
+//! same ingest path as submissions.
 //!
 //! ## Overload behaviour
 //!
@@ -43,20 +54,26 @@ use mlc_cache::ByteSize;
 use mlc_core::{DesignGrid, Explorer, GridRow, SweepEngine};
 use mlc_obs::json::JsonValue;
 use mlc_obs::span::{mint_trace_id, valid_trace_id, Stage};
-use mlc_obs::{digest_records_hex, JournalHeader, JournalRow, JournalWriter, Metrics};
+use mlc_obs::{JournalHeader, JournalRow, JournalWriter, Metrics};
 use mlc_sim::machine::BaseMachine;
 use mlc_trace::TraceRecord;
 
 use crate::cache::{ResultCache, Tier};
 use crate::chaos::FaultInjector;
+use crate::ingest::{Ingest, Resolved};
 use crate::key::{job_key, key_stem};
 use crate::proto::{Source, Stats, SubmitRequest, PROTO, STATS_SCHEMA};
 use crate::stats::ServerStats;
 use crate::store::{rows_from_journal, DiskStore, JobSpec};
 
-/// How a server turns a trace path into records. Injectable so the
-/// daemon binary can plug in quarantine-aware ingestion while the
-/// library stays dependency-light. The second argument is the
+/// How a server turns a trace path into records when its own strict
+/// ingest cannot: the server consults it only for a file that fails to
+/// read or to decode strictly ([`mlc_trace::FaultPolicy::Fail`]), and
+/// never indexes what it returns. Any file that does decode strictly
+/// must load to exactly those records, as every loader here does.
+/// Injectable so the daemon binary can plug in quarantine-aware
+/// ingestion while the library stays dependency-light. The second
+/// argument is the
 /// requesting submission's trace context (empty when there is none,
 /// e.g. a recovery reload of a pre-tracing journal) so ingestion
 /// diagnostics — quarantine warnings and sidecar context — can name
@@ -421,7 +438,7 @@ pub struct RecoveryReport {
 pub struct Server {
     cache: ResultCache,
     jobs: Mutex<HashMap<String, Arc<Job>>>,
-    loader: TraceLoader,
+    ingest: Ingest,
     row_delay: Duration,
     max_jobs: usize,
     event_queue: usize,
@@ -465,7 +482,7 @@ impl Server {
         Ok(Arc::new(Server {
             cache: ResultCache::new(disk, config.mem_entries),
             jobs: Mutex::new(HashMap::new()),
-            loader,
+            ingest: Ingest::new(loader),
             row_delay: config.row_delay,
             max_jobs: config.max_jobs.max(1),
             event_queue: config.event_queue,
@@ -598,6 +615,7 @@ impl Server {
         let stats = self.stats();
         let t = &self.telemetry;
         let (mem_hits, disk_hits, misses) = (t.mem_hits(), t.disk_hits(), t.misses());
+        let (index_hits, index_fills, loader_fallbacks) = self.ingest.counters();
         let lookups = mem_hits + disk_hits + misses;
         let ratio = |hits: u64| {
             if lookups == 0 {
@@ -635,6 +653,9 @@ impl Server {
                     ("handlers_active".into(), stats.handlers_active.into()),
                     ("spool_orphans".into(), stats.spool_orphans.into()),
                     ("events_dropped".into(), t.events_dropped().into()),
+                    ("trace_index_hits".into(), index_hits.into()),
+                    ("trace_index_fills".into(), index_fills.into()),
+                    ("trace_loader_fallbacks".into(), loader_fallbacks.into()),
                 ]),
             ),
             (
@@ -763,132 +784,165 @@ impl Server {
         self.telemetry
             .record_span(Stage::Admission, &trace_id, admission_start);
 
-        // Key resolution: read the trace, digest it, derive the
+        // Key resolution: identify the trace's content and derive the
         // content-addressed key. The trace id is identity metadata
         // only — [`crate::key::job_key`] never hashes it, so retries
         // and concurrent submissions with different ids converge on
         // one job.
         let key_start = Instant::now();
-        let trace = (self.loader)(&req.trace, &trace_id)
-            .map_err(|e| SubmitError::Invalid(format!("trace {}: {e}", req.trace.display())))?;
-        let warmup = (trace.len() as f64 * req.warmup_frac.clamp(0.0, 0.95)) as u64;
-        let header = JournalHeader {
-            trace_digest: digest_records_hex(&trace),
-            engine: engine.to_string(),
-            l1_bytes: req.l1_bytes,
-            warmup,
-            ways: req.ways,
-            sizes: req.sizes.clone(),
-            cycles: req.cycles.clone(),
-            trace_id: Some(trace_id.clone()),
-        };
-        let key = job_key(&header);
-        let stem = key_stem(&key)
-            .expect("server-derived keys are well-formed")
-            .to_owned();
-        let rows_total = header.sizes.len() as u64;
+        let resolved = self
+            .ingest
+            .identify(&req.trace, &trace_id)
+            .map_err(|e| invalid_trace(req, e))?;
         self.telemetry.record_span(Stage::Key, &trace_id, key_start);
+        self.submit_resolved(req, engine, trace_id, minted, resolved)
+    }
 
-        // The jobs lock covers lookup-or-create end to end, so N
-        // identical racing submissions resolve to one job (or to the
-        // cache entry the winner just committed).
-        let mut jobs = self.jobs.lock().unwrap_or_else(|p| p.into_inner());
-        if let Some(job) = jobs.get(&key).cloned() {
-            drop(jobs);
-            self.jobs_coalesced.fetch_add(1, Ordering::Relaxed);
-            // A follower that brought no context of its own follows
-            // the job under the id that started it, so the whole
-            // coalesced flight shares one trace.
-            let trace_id = if minted {
-                job.trace_id.clone()
-            } else {
-                trace_id
+    /// The rest of [`Server::submit`], from a resolved trace on: answers
+    /// from the job table or the cache, or starts a job. A job needs
+    /// the records, so a miss on a trace identified without them reads
+    /// the file again and goes round once more under the identity of
+    /// the bytes it read, which is a new key if the file changed.
+    fn submit_resolved(
+        self: &Arc<Self>,
+        req: &SubmitRequest,
+        engine: SweepEngine,
+        trace_id: String,
+        minted: bool,
+        mut resolved: Resolved,
+    ) -> Result<SubmitOutcome, SubmitError> {
+        loop {
+            let identity = &resolved.identity;
+            let warmup = (identity.records as f64 * req.warmup_frac.clamp(0.0, 0.95)) as u64;
+            let header = JournalHeader {
+                trace_digest: identity.digest.clone(),
+                engine: engine.to_string(),
+                l1_bytes: req.l1_bytes,
+                warmup,
+                ways: req.ways,
+                sizes: req.sizes.clone(),
+                cycles: req.cycles.clone(),
+                trace_id: Some(trace_id.clone()),
             };
+            let key = job_key(&header);
+
+            // The jobs lock covers lookup-or-create end to end, so N
+            // identical racing submissions resolve to one job (or to the
+            // cache entry the winner just committed).
+            let mut jobs = self.jobs.lock().unwrap_or_else(|p| p.into_inner());
+            if let Some(job) = jobs.get(&key).cloned() {
+                drop(jobs);
+                self.jobs_coalesced.fetch_add(1, Ordering::Relaxed);
+                // A follower that brought no context of its own follows
+                // the job under the id that started it, so the whole
+                // coalesced flight shares one trace.
+                let trace_id = if minted {
+                    job.trace_id.clone()
+                } else {
+                    trace_id
+                };
+                let events = job.subscribe();
+                return Ok(SubmitOutcome::Running(Submission {
+                    key,
+                    rows_total: header.sizes.len() as u64,
+                    rows_resumed: job.rows_resumed as u64,
+                    coalesced: true,
+                    trace_id,
+                    events,
+                }));
+            }
+            let t = Instant::now();
+            let mem_hit = self.cache.lookup_mem(&key);
+            self.telemetry.record_span(Stage::MemLookup, &trace_id, t);
+            if let Some(grid) = mem_hit {
+                self.telemetry.note_mem_hit();
+                return Ok(SubmitOutcome::Cached {
+                    key,
+                    grid,
+                    tier: Tier::Memory,
+                    trace_id,
+                });
+            }
+            let t = Instant::now();
+            let disk_hit = self.cache.lookup_disk(&key);
+            self.telemetry.record_span(Stage::DiskLookup, &trace_id, t);
+            if let Some(grid) = disk_hit {
+                self.telemetry.note_disk_hit();
+                return Ok(SubmitOutcome::Cached {
+                    key,
+                    grid,
+                    tier: Tier::Disk,
+                    trace_id,
+                });
+            }
+            let Some(trace) = resolved.records.take() else {
+                // Read outside the jobs lock; the next round looks the
+                // key up again, since a job may have started or
+                // committed meanwhile.
+                drop(jobs);
+                let t = Instant::now();
+                resolved = self
+                    .ingest
+                    .load(&req.trace, &trace_id)
+                    .map_err(|e| invalid_trace(req, e))?;
+                self.telemetry.record_span(Stage::Key, &trace_id, t);
+                continue;
+            };
+            self.telemetry.note_miss();
+            let stem = key_stem(&key)
+                .expect("server-derived keys are well-formed")
+                .to_owned();
+
+            // Admission control: a full job table sheds (cache hits and
+            // coalesced attaches above cost nothing, so they always pass).
+            if jobs.len() >= self.max_jobs {
+                drop(jobs);
+                self.note_shed();
+                return Err(SubmitError::Overloaded(format!(
+                    "job table full ({} jobs in flight)",
+                    self.max_jobs
+                )));
+            }
+
+            // Miss everywhere: spool and start a worker. Spec first, so a
+            // journal on disk always has its trace-path sidecar.
+            let disk = self.cache.disk();
+            disk.write_job_spec(
+                &stem,
+                &JobSpec {
+                    key: key.clone(),
+                    trace: req.trace.clone(),
+                },
+            )
+            .map_err(|e| SubmitError::Io(format!("spooling job spec failed: {e}")))?;
+            let (writer, completed) = open_spool_journal(disk, &stem, &key, &header)
+                .map_err(|e| SubmitError::Io(format!("spooling journal failed: {e}")))?;
+
+            let job = Arc::new(Job::new(
+                key.clone(),
+                trace_id.clone(),
+                header.sizes.len(),
+                completed.len(),
+                self.event_queue,
+            ));
+            jobs.insert(key.clone(), job.clone());
+            drop(jobs);
+            self.telemetry.job_started();
             let events = job.subscribe();
-            return Ok(SubmitOutcome::Running(Submission {
+            let submission = Submission {
                 key,
-                rows_total,
+                rows_total: header.sizes.len() as u64,
                 rows_resumed: job.rows_resumed as u64,
-                coalesced: true,
+                coalesced: false,
                 trace_id,
                 events,
-            }));
-        }
-        let t = Instant::now();
-        let mem_hit = self.cache.lookup_mem(&key);
-        self.telemetry.record_span(Stage::MemLookup, &trace_id, t);
-        if let Some(grid) = mem_hit {
-            self.telemetry.note_mem_hit();
-            return Ok(SubmitOutcome::Cached {
-                key,
-                grid,
-                tier: Tier::Memory,
-                trace_id,
+            };
+            let server = Arc::clone(self);
+            std::thread::spawn(move || {
+                server.run_job(job, trace, header, engine, writer, completed);
             });
+            return Ok(SubmitOutcome::Running(submission));
         }
-        let t = Instant::now();
-        let disk_hit = self.cache.lookup_disk(&key);
-        self.telemetry.record_span(Stage::DiskLookup, &trace_id, t);
-        if let Some(grid) = disk_hit {
-            self.telemetry.note_disk_hit();
-            return Ok(SubmitOutcome::Cached {
-                key,
-                grid,
-                tier: Tier::Disk,
-                trace_id,
-            });
-        }
-        self.telemetry.note_miss();
-
-        // Admission control: a full job table sheds (cache hits and
-        // coalesced attaches above cost nothing, so they always pass).
-        if jobs.len() >= self.max_jobs {
-            drop(jobs);
-            self.note_shed();
-            return Err(SubmitError::Overloaded(format!(
-                "job table full ({} jobs in flight)",
-                self.max_jobs
-            )));
-        }
-
-        // Miss everywhere: spool and start a worker. Spec first, so a
-        // journal on disk always has its trace-path sidecar.
-        let disk = self.cache.disk();
-        disk.write_job_spec(
-            &stem,
-            &JobSpec {
-                key: key.clone(),
-                trace: req.trace.clone(),
-            },
-        )
-        .map_err(|e| SubmitError::Io(format!("spooling job spec failed: {e}")))?;
-        let (writer, completed) = open_spool_journal(disk, &stem, &key, &header)
-            .map_err(|e| SubmitError::Io(format!("spooling journal failed: {e}")))?;
-
-        let job = Arc::new(Job::new(
-            key.clone(),
-            trace_id.clone(),
-            header.sizes.len(),
-            completed.len(),
-            self.event_queue,
-        ));
-        jobs.insert(key.clone(), job.clone());
-        drop(jobs);
-        self.telemetry.job_started();
-        let events = job.subscribe();
-        let submission = Submission {
-            key,
-            rows_total,
-            rows_resumed: job.rows_resumed as u64,
-            coalesced: false,
-            trace_id,
-            events,
-        };
-        let server = Arc::clone(self);
-        std::thread::spawn(move || {
-            server.run_job(job, trace, header, engine, writer, completed);
-        });
-        Ok(SubmitOutcome::Running(submission))
     }
 
     /// Scans the spool for in-flight journals a previous process left
@@ -948,12 +1002,15 @@ impl Server {
         // started it (journals predating tracing get a fresh id), so
         // the work stays attributable across the crash.
         let trace_id = header.trace_id.clone().unwrap_or_else(mint_trace_id);
-        let trace = (self.loader)(&spec.trace, &trace_id)
+        let resolved = self
+            .ingest
+            .load(&spec.trace, &trace_id)
             .map_err(|e| format!("trace reload failed (spool kept): {e}"))?;
-        if digest_records_hex(&trace) != header.trace_digest {
+        if resolved.identity.digest != header.trace_digest {
             disk.discard_job(stem);
             return Err("trace content changed since the journal was written; discarded".into());
         }
+        let trace = resolved.records.expect("load returns the records");
         let completed = rows_from_journal(&journal);
         let job = Arc::new(Job::new(
             spec.key.clone(),
@@ -1131,6 +1188,11 @@ impl Server {
     }
 }
 
+/// The submission error for a trace that could not be ingested.
+fn invalid_trace(req: &SubmitRequest, e: String) -> SubmitError {
+    SubmitError::Invalid(format!("trace {}: {e}", req.trace.display()))
+}
+
 /// Opens the spool journal for a new job: resumes a journal left by a
 /// previously failed or interrupted identical job (verifying it really
 /// is the same job), or creates a fresh one. Returns the writer and the
@@ -1178,4 +1240,97 @@ fn validate_grid(l1_bytes: u64, sizes: &[u64], cycles: &[u64], ways: u32) -> Res
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::proto::grid_to_json;
+    use mlc_obs::digest_records_hex;
+    use mlc_trace::synth::{workload::Preset, MultiProgramGenerator};
+
+    fn request(trace: &Path, cycles: Vec<u64>) -> SubmitRequest {
+        SubmitRequest {
+            trace: trace.to_path_buf(),
+            l1_bytes: 4096,
+            ways: 1,
+            sizes: vec![16384],
+            cycles,
+            engine: "onepass".into(),
+            warmup_frac: 0.25,
+            wait: true,
+            deadline_ms: 0,
+            trace_id: String::new(),
+        }
+    }
+
+    /// The key a client derives from the records themselves.
+    fn key_of(records: &[TraceRecord], req: &SubmitRequest) -> String {
+        job_key(&JournalHeader {
+            trace_digest: digest_records_hex(records),
+            engine: req.engine.clone(),
+            l1_bytes: req.l1_bytes,
+            warmup: (records.len() as f64 * req.warmup_frac) as u64,
+            ways: req.ways,
+            sizes: req.sizes.clone(),
+            cycles: req.cycles.clone(),
+            trace_id: None,
+        })
+    }
+
+    fn computed(outcome: SubmitOutcome) -> (String, String) {
+        let SubmitOutcome::Running(sub) = outcome else {
+            panic!("expected a computed job");
+        };
+        loop {
+            if let JobEvent::Done(done) = sub.events.recv().expect("job terminates") {
+                let grid = done.result.expect("job succeeds");
+                return (sub.key, grid_to_json(&grid).to_string_compact());
+            }
+        }
+    }
+
+    #[test]
+    fn a_file_changed_after_identification_is_not_simulated_under_the_old_key() {
+        let dir = std::env::temp_dir().join("mlc_serve_changed_trace");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let trace = dir.join("t.mlct");
+        let write = |records: &[TraceRecord]| {
+            let file = std::fs::File::create(&trace).unwrap();
+            mlc_trace::binary::write_binary(file, records).unwrap();
+        };
+        let old = MultiProgramGenerator::new(Preset::Mips2.config(3))
+            .unwrap()
+            .generate_records(4_000);
+        write(&old);
+        let old_len = std::fs::metadata(&trace).unwrap().len();
+        let server = Server::new(ServerConfig::new(dir.join("store")), default_loader()).unwrap();
+        computed(server.submit(&request(&trace, vec![1, 2])).unwrap());
+
+        // Identified from the index, without records, as the old content.
+        let stale = server.ingest.identify(&trace, "").unwrap();
+        assert!(stale.records.is_none());
+
+        // The file changes in place (same path, same length) before the
+        // cold read of a grid nobody has computed yet.
+        let mut new = old.clone();
+        new[100] = TraceRecord::read(new[100].addr.get() ^ 0x40);
+        write(&new);
+        assert_eq!(std::fs::metadata(&trace).unwrap().len(), old_len);
+        let req = request(&trace, vec![3, 4]);
+        let trace_id = "trc-changed".to_string();
+        let outcome = server
+            .submit_resolved(&req, SweepEngine::OnePass, trace_id, false, stale)
+            .unwrap();
+        let (key, grid) = computed(outcome);
+        assert_ne!(key, key_of(&old, &req), "never simulated under the old key");
+        assert_eq!(key, key_of(&new, &req));
+
+        // Bit-identical to a server that only ever saw the new file.
+        let reference = Server::new(ServerConfig::new(dir.join("ref")), default_loader()).unwrap();
+        let (ref_key, ref_grid) = computed(reference.submit(&req).unwrap());
+        assert_eq!((key, grid), (ref_key, ref_grid));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -6,8 +6,9 @@
 //! * [`TraceRecord`] / [`AccessKind`] / [`Address`] — the reference model.
 //! * [`din`] and [`binary`] — trace file formats (the classic Dinero text
 //!   format and a compact binary format), with [`slice`](mod@slice) the
-//!   one decoder of the binary layouts and [`read_file`] the one file
-//!   reader that picks a format by extension.
+//!   one decoder of the binary layouts, [`TraceFormat`] the one
+//!   dispatch from a file's extension to its decoder, and [`read_file`]
+//!   the one file reader.
 //! * [`synth`] — seeded synthetic workload generators reproducing the
 //!   statistical properties of the ISCA 1989 paper's eight
 //!   multiprogramming traces (see DESIGN.md §4 for the substitution
@@ -73,25 +74,62 @@ pub use stream::{IntoIterRecords, TraceSource};
 use std::io::Write;
 use std::path::Path;
 
-/// Reads a trace file, dispatching on extension: `.din` is parsed as
-/// Dinero text; anything else as the `mlc` binary format (either
-/// layout), read into memory in one piece and slice-decoded. Malformed
-/// records are handled under `policy`, with each quarantined record
-/// written to `quarantine` when one is given.
+/// A trace file's on-disk format, named by its path's extension: `.din`
+/// is Dinero text, anything else the `mlc` binary format (either
+/// layout; the header says which).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum TraceFormat {
+    /// Dinero text.
+    Din,
+    /// The `mlc` binary format, fixed-width or delta-compressed.
+    Binary,
+}
+
+impl TraceFormat {
+    /// The format `path` names.
+    pub fn of(path: &Path) -> TraceFormat {
+        if path.extension().is_some_and(|e| e == "din") {
+            TraceFormat::Din
+        } else {
+            TraceFormat::Binary
+        }
+    }
+
+    /// Decodes a whole file's `bytes` in this format. Malformed records
+    /// are handled under `policy`, with each quarantined record written
+    /// to `quarantine` when one is given. The same bytes under the same
+    /// format and policy always decode to the same records.
+    ///
+    /// # Errors
+    ///
+    /// The errors of [`din::read_din_with`] or
+    /// [`slice::read_binary_slice_with`].
+    pub fn decode(
+        self,
+        bytes: &[u8],
+        policy: FaultPolicy,
+        quarantine: Option<&mut dyn Write>,
+    ) -> Result<(Vec<TraceRecord>, IngestReport), TraceError> {
+        match self {
+            TraceFormat::Din => din::read_din_with(bytes, policy, quarantine),
+            TraceFormat::Binary => slice::read_binary_slice_with(bytes, policy, quarantine),
+        }
+    }
+}
+
+/// Reads a trace file into memory in one piece and decodes it in the
+/// format its extension names ([`TraceFormat`]). Malformed records are
+/// handled under `policy`, with each quarantined record written to
+/// `quarantine` when one is given.
 ///
 /// # Errors
 ///
 /// Returns [`TraceError::Io`] if the file cannot be opened or read, and
-/// otherwise the errors of [`din::read_din_with`] or
-/// [`slice::read_binary_slice_with`].
+/// otherwise the errors of [`TraceFormat::decode`].
 pub fn read_file(
     path: &Path,
     policy: FaultPolicy,
     quarantine: Option<&mut dyn Write>,
 ) -> Result<(Vec<TraceRecord>, IngestReport), TraceError> {
-    if path.extension().is_some_and(|e| e == "din") {
-        din::read_din_with(std::fs::File::open(path)?, policy, quarantine)
-    } else {
-        slice::read_binary_slice_with(&std::fs::read(path)?, policy, quarantine)
-    }
+    TraceFormat::of(path).decode(&std::fs::read(path)?, policy, quarantine)
 }
